@@ -53,6 +53,15 @@ def _cfg_scalar(cfg, key, default=None):
     return vals[-1]
 
 
+def _number(kind, value, source):
+    """``kind(value)``; a malformed value is a config error (exit status 2)."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise AgfError(f"{source} must be {'an integer' if kind is int else 'a number'}, "
+                       f"got {value!r}") from None
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -127,10 +136,15 @@ plot 'traces.csv' using 4:5 with linespoints title 'trace values'
 def _emit(outdir, result: ExperimentResult) -> None:
     os.makedirs(outdir, exist_ok=True)
     write_reports_csv(os.path.join(outdir, "reports.csv"), result.reports)
-    if result.traces:
-        write_traces_csv(os.path.join(outdir, "traces.csv"), result.traces)
-    if result.gauge_rows:
-        write_gauge_csv(os.path.join(outdir, "gauge.csv"), result.gauge_rows)
+    # the optional files of an earlier run into the same directory must not
+    # outlive it: --out holds the artifacts of exactly one run
+    for name, rows, write in (("traces.csv", result.traces, write_traces_csv),
+                              ("gauge.csv", result.gauge_rows, write_gauge_csv)):
+        path = os.path.join(outdir, name)
+        if rows:
+            write(path, rows)
+        elif os.path.exists(path):
+            os.remove(path)
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write(summarize(result.reports))
     with open(os.path.join(outdir, "plot.gp"), "w") as fh:
@@ -142,9 +156,9 @@ def _threads(args, cfg) -> int:
         return args.threads
     cfg_t = _cfg_scalar(cfg, "threads")
     if cfg_t is not None:
-        return int(cfg_t)
+        return _number(int, cfg_t, "config key threads")
     env = os.environ.get("AGF_THREADS")
-    return int(env) if env else 1
+    return _number(int, env, "AGF_THREADS") if env else 1
 
 
 def _common_opts(args, cfg) -> dict:
@@ -152,7 +166,7 @@ def _common_opts(args, cfg) -> dict:
     m_max = args.m_max if getattr(args, "m_max", None) is not None \
         else _cfg_scalar(cfg, "m-max")
     if m_max is not None:
-        opts["m_max"] = int(m_max)
+        opts["m_max"] = _number(int, m_max, "config key m-max")
     if getattr(args, "explore_open_case", False):
         opts["explore_open_case"] = True
     return opts
@@ -184,11 +198,11 @@ def cmd_calibrate(args, cfg) -> int:
     corpus = default_corpus(args.seed)
     threads = _threads(args, cfg)
     opts = _common_opts(args, cfg)
+    margin = _number(float, _cfg_scalar(cfg, "margin", DEFAULT_MARGIN), "config key margin")
     result = ExperimentResult()
     for name in _BUDGET_EXPERIMENTS:
         result.extend(run_experiment(name, corpus, budgets=None,
                                      threads=threads, opts=opts))
-    margin = float(_cfg_scalar(cfg, "margin", DEFAULT_MARGIN))
     bf = calibrate_from_reports(result.reports, corpus_hash(corpus), margin)
     save_budgets(bf, args.budget, force=args.force)
     print(f"calibrated {len(bf.budgets)} budgets -> {args.budget}")
@@ -296,11 +310,11 @@ def main(argv=None) -> int:
         except (AgfError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.seed is None:
-        args.seed = int(_cfg_scalar(cfg, "seed", _DEFAULT_SEED))
     if args.budget is None:
         args.budget = _cfg_scalar(cfg, "budget") or os.path.join("calibration", "budgets.json")
     try:
+        if args.seed is None:
+            args.seed = _number(int, _cfg_scalar(cfg, "seed", _DEFAULT_SEED), "config key seed")
         return args.func(args, cfg)
     except AgfError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,15 +20,11 @@ from .corpus import CorpusSpec, corpus_hash, generate_corpus
 from .errors import ParameterError
 from .geometry import build_gauge
 from .grid import GridFunction
+from .moduli import modulus_curve
 from .verify import InequalityReport, LimitTrace
 
 EXPERIMENTS = ("rearr-estimate", "aniso-estimate", "embedding", "limit-sweep",
                "bbm", "modulus-lemmas", "appendix")
-
-# inequalities whose constants come from the calibration file
-BUDGET_TIER = ("rearr-estimate", "aniso-gauge-integral", "aniso-gauge-sup",
-               "embedding-lorentz", "embedding-mixed", "fractional-sobolev",
-               "fractional-sobolev-lorentz", "lipschitz-endpoint")
 
 
 def default_corpus(seed: int) -> list[tuple[str, GridFunction]]:
@@ -101,9 +97,10 @@ def _jobs_rearr_estimate(corpus, budgets, opts):
         def job(fid=fid, f=f):
             res = ExperimentResult()
             for p in P_GRID:
+                curves = [modulus_curve(f, k, p) for k in range(f.dims)]
                 for d in _dyadic(_max_extent(f), 5):
                     res.reports.append(V.verify_isotropic_estimate(
-                        f, p, d, _budget(budgets, "rearr-estimate"), fid))
+                        f, p, d, _budget(budgets, "rearr-estimate"), fid, curves=curves))
             return res
         jobs.append(job)
     return jobs
@@ -152,14 +149,15 @@ def _jobs_embedding(corpus, budgets, opts):
             def job(fid=fid, f=f, p=p, beta_js=beta_js, theta_js=theta_js):
                 res = ExperimentResult()
                 params = derive_params(p, beta_js, theta_js, f.dims)
+                curves = [modulus_curve(f, k, p) for k in range(f.dims)]
                 res.reports.extend(V.verify_embedding(
                     f, params, "lorentz",
                     budget=_budget(budgets, "embedding-lorentz"),
-                    function_id=fid, explore_open_case=explore))
+                    function_id=fid, explore_open_case=explore, curves=curves))
                 res.reports.extend(V.verify_embedding(
                     f, params, "mixed", order=(0, 1),
                     budget=_budget(budgets, "embedding-mixed"),
-                    function_id=fid, explore_open_case=explore))
+                    function_id=fid, explore_open_case=explore, curves=curves))
                 return res
             jobs.append(job)
     return jobs

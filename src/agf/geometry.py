@@ -89,6 +89,19 @@ class ProjectionProfile:
         return self.section_counts * self.cell_sizes[self.axis]
 
 
+def _column_codes(E: CellSet, j: int) -> np.ndarray:
+    """Integer code of each cell's projection column along axis j.
+
+    Codes are the column keys ravelled in C order, so sorting codes sorts the
+    columns lexicographically.  For n = 1 every cell lies in the one empty
+    column, code 0.
+    """
+    col_shape = E.shape[:j] + E.shape[j + 1:]
+    if not col_shape:
+        return np.zeros(E.count, dtype=np.int64)
+    return np.ravel_multi_index(tuple(E.column_keys(j).T), col_shape)
+
+
 def projection_profile(E: CellSet, j: int) -> ProjectionProfile:
     """Exact column counting for the orthogonal projection along axis j.
 
@@ -100,8 +113,12 @@ def projection_profile(E: CellSet, j: int) -> ProjectionProfile:
     if E.count == 0:
         return ProjectionProfile(j, np.empty((0, E.dims - 1), dtype=np.int64),
                                  np.empty(0, dtype=np.int64), E.cell_sizes)
-    keys = E.column_keys(j)
-    cols, counts = np.unique(keys, axis=0, return_counts=True)
+    codes, counts = np.unique(_column_codes(E, j), return_counts=True)
+    col_shape = E.shape[:j] + E.shape[j + 1:]
+    if col_shape:
+        cols = np.stack(np.unravel_index(codes, col_shape), axis=1)
+    else:
+        cols = np.empty((codes.size, 0), dtype=np.int64)
     return ProjectionProfile(j, cols, counts, E.cell_sizes)
 
 
@@ -168,20 +185,16 @@ def minimal_projection_chain(E: CellSet, axes=None) -> tuple[list[CellSet], list
             chain.append(cur)
             steps.append(ChainStep(j, 0, 0, 0.0, 0))
             continue
-        prof = projection_profile(cur, j)
-        # sort columns: section count descending, lexicographic key ascending
-        order = np.lexsort(tuple(prof.columns.T[::-1]) + (-prof.section_counts,))
-        counts = prof.section_counts[order]
+        codes = _column_codes(cur, j)
+        cols, section_counts = np.unique(codes, return_counts=True)
+        # sort columns: section count descending, lexicographic key (code) ascending
+        order = np.lexsort((cols, -section_counts))
+        counts = section_counts[order]
         target = cur.count / 2.0
         cum = np.cumsum(counts)
         nsel = int(np.searchsorted(cum, target, side="left")) + 1
         nsel = min(nsel, counts.size)
-        sel_cols = prof.columns[order[:nsel]]
-        keys = cur.column_keys(j)
-        # membership of each cell's column in the selected set
-        sel_view = {tuple(row) for row in sel_cols.tolist()}
-        mask = np.fromiter((tuple(row) in sel_view for row in keys.tolist()),
-                           dtype=bool, count=cur.count)
+        mask = np.isin(codes, cols[order[:nsel]])
         nxt = CellSet(cur.indices[mask], cur.shape, cur.cell_sizes)
         chain.append(nxt)
         steps.append(ChainStep(j, nsel, nxt.count, target, nsel))

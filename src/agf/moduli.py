@@ -40,12 +40,13 @@ def _shift_power_profile(f: GridFunction, k: int, p: float) -> np.ndarray:
     return out
 
 
-def shift_difference_norm(f: GridFunction, k: int, h: float, p: float) -> float:
+def shift_difference_norm(f: GridFunction, k: int, h: float, p: float,
+                          curve: ModulusCurve | None = None) -> float:
     """Exact I_k(f; h)_p for arbitrary real h via the piecewise-linear identity."""
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
-    prof = _shift_power_profile(f, k, p)
-    return _interp_profile(prof, f.cell_sizes[k], abs(h)) ** (1.0 / p)
+    prof, c = _profile(f, k, p, curve)
+    return _interp_profile(prof, c, abs(h)) ** (1.0 / p)
 
 
 def _interp_profile(prof: np.ndarray, c: float, h: float) -> float:
@@ -71,14 +72,14 @@ class ModulusCurve:
     p: float
     deltas: np.ndarray
     omega_p: np.ndarray  # omega(delta)^p at the nodes
+    profile: np.ndarray  # shift-power profile I^p at multiples of cell_size
+    cell_size: float
 
     def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=np.float64)
-        w = np.asarray(self.omega_p, dtype=np.float64)
-        object.__setattr__(self, "deltas", d)
-        object.__setattr__(self, "omega_p", w)
-        d.flags.writeable = False
-        w.flags.writeable = False
+        for name in ("deltas", "omega_p", "profile"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def power_at(self, delta):
         delta = np.asarray(delta, dtype=np.float64)
@@ -100,12 +101,6 @@ class ModulusCurve:
             b = (float(w[i + 1]) - float(w[i])) / (d1 - d0)
             a = float(w[i]) - b * d0
             yield d0, d1, a, b
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("delta,omega\n")
-            for d, w in zip(self.deltas, self.omega_p):
-                fh.write(f"{d!r},{w ** (1.0 / self.p)!r}\n")
 
 
 def _running_max_curve(prof: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -139,27 +134,53 @@ def _running_max_curve(prof: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarr
 
 
 def modulus_curve(f: GridFunction, k: int, p: float) -> ModulusCurve:
-    """Exact curve of the partial modulus omega_k(f; .)_p."""
+    """Exact curve of the partial modulus omega_k(f; .)_p.
+
+    One curve per (f, k, p) serves every moduli and seminorm function through
+    its ``curve=`` argument, so the shift-power profile is computed once.
+    """
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     prof = _shift_power_profile(f, k, p)
-    d, w = _running_max_curve(prof, f.cell_sizes[k])
-    return ModulusCurve(k, p, d, w)
+    c = f.cell_sizes[k]
+    d, w = _running_max_curve(prof, c)
+    return ModulusCurve(k, p, d, w, prof, c)
 
 
-def partial_modulus(f: GridFunction, k: int, delta: float, p: float) -> float:
+def check_curve(curve: ModulusCurve, k: int, p: float) -> None:
+    """Reject a curve built for another axis or exponent than the one requested."""
+    if curve.axis != k or curve.p != p:
+        raise PreconditionError(
+            f"curve was built for axis {curve.axis}, p={curve.p}; requested axis {k}, p={p}")
+
+
+def _profile(f: GridFunction, k: int, p: float,
+             curve: ModulusCurve | None) -> tuple[np.ndarray, float]:
+    """(shift-power profile, cell size) of axis k, read from ``curve`` when given."""
+    if curve is None:
+        return _shift_power_profile(f, k, p), f.cell_sizes[k]
+    check_curve(curve, k, p)
+    return curve.profile, curve.cell_size
+
+
+def partial_modulus(f: GridFunction, k: int, delta: float, p: float,
+                    curve: ModulusCurve | None = None) -> float:
     """omega_k(f; delta)_p = sup over |h| <= delta of I_k(f; h)_p, exact."""
+    if curve is not None:
+        check_curve(curve, k, p)
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
     if delta == 0:
         return 0.0
-    return float(modulus_curve(f, k, p)(delta))
+    if curve is None:
+        curve = modulus_curve(f, k, p)
+    return float(curve(delta))
 
 
-def shift_norm_integral(f: GridFunction, k: int, delta: float, p: float) -> float:
+def shift_norm_integral(f: GridFunction, k: int, delta: float, p: float,
+                        curve: ModulusCurve | None = None) -> float:
     """Exact ``integral_0^delta I_k(f; h)_p dh`` (closed form per linear piece)."""
-    prof = _shift_power_profile(f, k, p)
-    c = f.cell_sizes[k]
+    prof, c = _profile(f, k, p, curve)
     total = 0.0
     h0 = 0.0
     j = 0
@@ -198,7 +219,7 @@ def interval_modulus_1d(f: GridFunction, delta: float, p: float) -> float:
     for j in range(jmax + 1):
         prof[j] = float(np.sum(np.abs(a[j:] - a[: n - j]) ** p)) * c if j < n else 0.0
     d, w = _running_max_curve(prof, c)
-    curve = ModulusCurve(0, p, d, w)
+    curve = ModulusCurve(0, p, d, w, prof, c)
     return float(curve(min(delta, jmax * c)))
 
 
@@ -271,11 +292,12 @@ def steklov_axis_derivative(f: GridFunction, h: float, j: int) -> GridFunction:
     return GridFunction(out, f.cell_sizes, origin, halfspace=f.halfspace)
 
 
-def steklov_derivative_norm(f: GridFunction, h: float, j: int, p: float) -> float:
+def steklov_derivative_norm(f: GridFunction, h: float, j: int, p: float,
+                            curve: ModulusCurve | None = None) -> float:
     """L^p norm of the Steklov axis derivative for arbitrary h > 0 (exact)."""
     if h <= 0:
         raise ParameterError(f"window h must be > 0, got {h}")
-    return shift_difference_norm(f, j, h, p) / h
+    return shift_difference_norm(f, j, h, p, curve=curve) / h
 
 
 def steklov_distance(f: GridFunction, h: float, j: int, p: float) -> float:

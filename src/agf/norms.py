@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError, ResourceError
 from .grid import GridFunction
-from .moduli import ModulusCurve, modulus_curve
+from .moduli import ModulusCurve, check_curve, modulus_curve
 from .rearrange import is_mdec
 from .step import StepFunction
 
@@ -139,6 +139,8 @@ def lipschitz_seminorm(f: GridFunction, k: int, alpha: float, p: float,
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
     if curve is None:
         curve = modulus_curve(f, k, p)
+    else:
+        check_curve(curve, k, p)
     val, at, flag = _curve_weighted_sup(curve, alpha)
     return LipschitzValue(val, at, flag)
 
@@ -158,6 +160,8 @@ def besov_seminorm(f: GridFunction, k: int, alpha: float, theta: float, p: float
         raise ParameterError(f"theta must be >= 1, got {theta}")
     if curve is None:
         curve = modulus_curve(f, k, p)
+    else:
+        check_curve(curve, k, p)
     if math.isinf(theta):
         return _curve_weighted_sup(curve, alpha)[0]
     tp = theta / p
@@ -181,12 +185,6 @@ def besov_seminorm(f: GridFunction, k: int, alpha: float, theta: float, p: float
     if wmax > 0.0 and dlast > 0.0:
         acc += (wmax**tp) * (dlast ** (-at)) / at
     return acc ** (1.0 / theta)
-
-
-def truncation_window(f: GridFunction, k: int) -> tuple[float, float]:
-    """(finest exact scale, scale beyond which the modulus curve is constant)."""
-    c = f.cell_sizes[k]
-    return c, f.shape[k] * c
 
 
 # --- Gagliardo ----------------------------------------------------------------

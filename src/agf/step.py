@@ -100,14 +100,6 @@ class StepFunction:
             return 0.0
         return float(np.max(self.values * self.breakpoints**a))
 
-    def to_csv(self, path) -> None:
-        """CSV dump, columns (t_right, value); left-continuous convention."""
-        with open(path, "w") as fh:
-            fh.write("# value holds on (t_prev, t_right]; function is 0 beyond last row\n")
-            fh.write("t_right,value\n")
-            for t, v in zip(self.breakpoints, self.values):
-                fh.write(f"{t!r},{v!r}\n")
-
 
 def step_from_pieces(breakpoints, values) -> StepFunction:
     """Build a StepFunction, merging equal adjacent values and trimming zero tail."""

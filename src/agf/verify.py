@@ -18,6 +18,8 @@ from .errors import ParameterError, PreconditionError
 from .geometry import AnisotropicGauge, box_average_field, box_average_on_grid, build_gauge
 from .grid import GridFunction, make_grid_function
 from .moduli import (
+    ModulusCurve,
+    check_curve,
     interval_modulus_1d,
     modulus_curve,
     partial_modulus,
@@ -112,23 +114,42 @@ def _degenerate(inequality_id, function_id, params, budget=math.inf, note="zero 
                             budget, truncation=note, degenerate=True)
 
 
+def _axis_curves(f: GridFunction, p: float, curves) -> list[ModulusCurve | None]:
+    """One optional curve per axis, each checked against its axis and p.
+
+    A None entry (or ``curves=None``) leaves that curve to be built per call.
+    """
+    if curves is None:
+        return [None] * f.dims
+    curves = list(curves)
+    if len(curves) != f.dims:
+        raise PreconditionError(f"need one curve per axis: {len(curves)} for dims={f.dims}")
+    for k, curve in enumerate(curves):
+        if curve is not None:
+            check_curve(curve, k, p)
+    return curves
+
+
 # --- isotropic rearrangement estimate -------------------------------------------
 
 def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
                               budget: float = math.inf,
-                              function_id: str = "") -> InequalityReport:
+                              function_id: str = "",
+                              curves=None) -> InequalityReport:
     """Tail integral of the rearrangement decrement against the isotropic modulus.
 
     LHS = integral over t > delta^n of t^(-p/n - 1) * integral_0^t
     (f*(u) - f*(t))^p du dt, closed form on the rearrangement steps.
     RHS = (omega(f; delta)_p / delta)^p with the isotropic modulus taken as the
-    max over axes of the partial moduli (recorded in the params).
+    max over axes of the partial moduli (recorded in the params).  ``curves``
+    holds ``modulus_curve(f, k, p)`` for k = 0..n-1 when the caller has them.
     """
     if not math.isfinite(p) or p < 1:
         raise ParameterError(f"p must be finite and >= 1, got {p}")
     if delta <= 0:
         raise ParameterError(f"delta must be > 0, got {delta}")
     n = f.dims
+    curves = _axis_curves(f, p, curves)
     params = {"p": p, "delta": delta, "isotropic_modulus": "max-over-axes"}
     sf = decreasing_rearrangement(f)
     if sf.values.size == 0:
@@ -149,7 +170,7 @@ def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
     inner_tail = float(np.sum(vals**p * widths))
     tail_lo = max(bp[-1], lo_cut)
     lhs += inner_tail * tail_lo ** (-e) / e
-    omega = max(partial_modulus(f, k, delta, p) for k in range(n))
+    omega = max(partial_modulus(f, k, delta, p, curve=curves[k]) for k in range(n))
     rhs = (omega / delta) ** p
     return InequalityReport("rearr-estimate", function_id, params, lhs, rhs, budget)
 
@@ -245,13 +266,15 @@ def verify_gauge_product(f: GridFunction, order,
 
 # --- embedding into Lorentz spaces -------------------------------------------------
 
-def _besov_product(f: GridFunction, params: BesovParams, with_factors: bool):
+def _besov_product(f: GridFunction, params: BesovParams, with_factors: bool, curves=None):
     """Product over axes of (optionally weighted) axis Besov seminorms."""
     n = params.n
+    curves = _axis_curves(f, params.p, curves)
     rhs = 1.0
     semis = []
     for j in range(n):
-        b = besov_seminorm(f, j, params.beta_js[j], params.theta_js[j], params.p)
+        b = besov_seminorm(f, j, params.beta_js[j], params.theta_js[j], params.p,
+                           curve=curves[j])
         semis.append(b)
         factor = 1.0
         if with_factors and not math.isinf(params.theta_js[j]):
@@ -263,13 +286,16 @@ def _besov_product(f: GridFunction, params: BesovParams, with_factors: bool):
 def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorentz",
                      order=None, budget: float = math.inf,
                      function_id: str = "",
-                     explore_open_case: bool = False) -> list[InequalityReport]:
+                     explore_open_case: bool = False,
+                     curves=None) -> list[InequalityReport]:
     """Lorentz-norm embedding against the weighted product of axis Besov seminorms.
 
     flavor "lorentz" bounds the Lorentz norm of f*; flavor "mixed" bounds the
     mixed Lorentz norm of the iterated rearrangement (``order`` required).
     Also asserts the exact dyadic-decrement step of the proof:
     the Lorentz norm is at most (1 - 2^(-1/q))^(-1) times the decrement norm J.
+    ``curves`` holds ``modulus_curve(f, k, params.p)`` per axis when the caller
+    has them.
     """
     if flavor not in ("lorentz", "mixed"):
         raise ParameterError(f"unknown norm flavor {flavor!r}")
@@ -280,6 +306,7 @@ def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorent
     if any(t < params.p for t in params.theta_js) and not explore_open_case:
         raise ParameterError("theta_j < p is an open case; pass explore_open_case to log ratios")
     q, theta, p = params.q, params.theta, params.p
+    curves = _axis_curves(f, p, curves)
     ineq_id = "embedding-lorentz" if flavor == "lorentz" else "embedding-mixed"
     rep_params = {"p": p, "q": q, "theta": theta,
                   "beta_js": list(params.beta_js), "theta_js": list(params.theta_js),
@@ -295,7 +322,7 @@ def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorent
         if order is None:
             raise ParameterError("mixed flavor requires a rearrangement order")
         lhs = mixed_lorentz_norm(iterated_rearrangement(f, order), q, theta)
-    rhs, semis = _besov_product(f, params, with_factors=True)
+    rhs, semis = _besov_product(f, params, with_factors=True, curves=curves)
     trunc = ""
     if math.isinf(rhs):
         trunc = "unbounded seminorm on the right"
@@ -354,6 +381,7 @@ def limiting_sweep(f: GridFunction, p: float, theta_js, m_max: int,
     vals_ctrl = []
     reports = []
     truncated = False
+    curves = None  # built at the first admissible m; every m shares them
     for m in range(1, m_max + 1):
         beta = 1.0 - 2.0**-m
         try:
@@ -364,11 +392,13 @@ def limiting_sweep(f: GridFunction, p: float, theta_js, m_max: int,
         if not params.admissible:
             truncated = True
             break
+        if curves is None:
+            curves = [modulus_curve(f, j, p) for j in range(n)]
         reps = verify_embedding(f, params, flavor="lorentz", budget=budget,
-                                function_id=function_id)
+                                function_id=function_id, curves=curves)
         rep = reps[0]
         reports.extend(reps)
-        rhs_ctrl, _ = _besov_product(f, params, with_factors=False)
+        rhs_ctrl, _ = _besov_product(f, params, with_factors=False, curves=curves)
         if rep.lhs == 0.0:
             truncated = True
             break
@@ -518,17 +548,20 @@ def verify_rearrangement_modulus(f: GridFunction, p: float, deltas, orders=None,
     if orders is None:
         orders = [tuple(range(n)), tuple(reversed(range(n)))]
     budget = 3.0**n
+    # each curve is built once and shared by every delta (and, for f, every order)
+    f_curves = [None if zero else modulus_curve(f, k, p) for k in range(n)]
     for order in orders:
         rf = iterated_rearrangement(f, order)
         for k in range(n):
+            rf_curve = None if zero else modulus_curve(rf, k, p)
             for delta in deltas:
                 params = {"p": p, "delta": float(delta), "axis": k, "order": list(order)}
                 if zero:
                     reports.append(_degenerate("rearrangement-modulus-axes", function_id,
                                                params, budget))
                     continue
-                lhs = partial_modulus(rf, k, delta, p)
-                rhs = partial_modulus(f, k, delta, p)
+                lhs = partial_modulus(rf, k, delta, p, curve=rf_curve)
+                rhs = partial_modulus(f, k, delta, p, curve=f_curves[k])
                 reports.append(InequalityReport("rearrangement-modulus-axes", function_id,
                                                 params, lhs, rhs, budget))
     return reports
@@ -551,6 +584,8 @@ def verify_modulus_lemmas(f: GridFunction, p: float, deltas,
         f = GridFunction(f.values, f.cell_sizes, f.origin, halfspace=False)
     zero = f.support_cells == 0
     for k in range(f.dims):
+        # one curve per axis carries the profile every delta reads
+        curve = None if zero else modulus_curve(f, k, p)
         for d in deltas:
             params = {"p": p, "axis": k, "delta": float(d)}
             if zero:
@@ -558,16 +593,16 @@ def verify_modulus_lemmas(f: GridFunction, p: float, deltas,
                                ("steklov-derivative", 1.0)):
                     reports.append(_degenerate(iid, function_id, params, b))
                 continue
-            omega = partial_modulus(f, k, d, p)
+            omega = partial_modulus(f, k, d, p, curve=curve)
             reports.append(InequalityReport(
                 "modulus-mean-bound", function_id, params,
-                omega, shift_norm_integral(f, k, d, p) / d, 3.0))
+                omega, shift_norm_integral(f, k, d, p, curve=curve) / d, 3.0))
             reports.append(InequalityReport(
                 "steklov-distance", function_id, params,
                 steklov_distance(f, d, k, p), omega, 1.0))
             reports.append(InequalityReport(
                 "steklov-derivative", function_id, params,
-                steklov_derivative_norm(f, d, k, p), omega / d, 1.0))
+                steklov_derivative_norm(f, d, k, p, curve=curve), omega / d, 1.0))
     return reports
 
 

@@ -130,3 +130,40 @@ def test_config_supplies_defaults(tmp_path, budget_file):
     code = main(["--config", str(cfg), "run", "limit-sweep", "--out", str(out)])
     assert code == 0
     assert (out / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    ("env", "AGF_THREADS", "abc"),
+    ("cfg", "threads", "two"),
+    ("cfg", "seed", "1.5"),
+    ("cfg", "m-max", "eight"),
+    ("cfg", "margin", "wide"),
+], ids=lambda s: s[1])
+def test_malformed_number_setting_exits_2(tmp_path, monkeypatch, capsys, setting):
+    where, key, value = setting
+    argv = []
+    if where == "env":
+        monkeypatch.setenv(key, value)
+    else:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = ["--config", str(cfg)]
+    if key == "margin":
+        argv += ["calibrate", "--budget", str(tmp_path / "budgets.json")]
+    else:
+        argv += ["run", "modulus-lemmas", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(value) in err
+
+
+def test_reused_out_dir_drops_stale_optional_files(tmp_path, budget_file):
+    out = tmp_path / "out"
+    assert main(["run", "all", "--out", str(out), "--budget", budget_file]) == 0
+    assert (out / "traces.csv").exists() and (out / "gauge.csv").exists()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["run", "rearr-estimate", "--out", str(out), "--budget", budget_file]) == 0
+    assert not (out / "traces.csv").exists()
+    assert not (out / "gauge.csv").exists()
+    assert (out / "reports.csv").exists() and (out / "summary.txt").exists()
+    assert (out / "notes.txt").read_text() == "kept\n"

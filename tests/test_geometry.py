@@ -16,7 +16,7 @@ from agf import (
     projection_profile,
     superlevel_filling,
 )
-from agf.geometry import cumulative_integral
+from agf.geometry import ChainStep, cumulative_integral
 from agf.rearrange import iterated_rearrangement, strictify
 
 
@@ -111,6 +111,48 @@ def test_chain_measure_band_and_nesting():
                 assert step.achieved_cells == sum(
                     1 for _ in cells)
             prev = cells
+
+
+def _set_based_chain(E):
+    """Reference chain: tuple-keyed columns and set membership, one axis at a time."""
+    chain, steps = [E], []
+    cur = E
+    for j in range(E.dims):
+        if cur.count == 0:
+            chain.append(cur)
+            steps.append(ChainStep(j, 0, 0, 0.0, 0))
+            continue
+        keys = np.delete(cur.indices, j, axis=1)
+        cols, counts = np.unique(keys, axis=0, return_counts=True)
+        order = np.lexsort(tuple(cols.T[::-1]) + (-counts,))
+        cum = np.cumsum(counts[order])
+        nsel = min(int(np.searchsorted(cum, cur.count / 2.0, side="left")) + 1, counts.size)
+        selected = {tuple(row) for row in cols[order[:nsel]].tolist()}
+        mask = np.array([tuple(row) in selected for row in keys.tolist()], dtype=bool)
+        nxt = CellSet(cur.indices[mask], cur.shape, cur.cell_sizes)
+        chain.append(nxt)
+        steps.append(ChainStep(j, nsel, nxt.count, cur.count / 2.0, nsel))
+        cur = nxt
+    return chain, steps, [np.unique(np.delete(E.indices, j, axis=1), axis=0, return_counts=True)
+                          for j in range(E.dims)]
+
+
+@pytest.mark.parametrize("shape", [(9,), (6, 7), (4, 5, 3)])
+def test_integer_column_codes_match_set_based_chain(shape):
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        mask = rng.uniform(size=shape) < rng.uniform(0.1, 0.9)
+        E = _mask_cellset(mask, (1.0,) * len(shape))
+        chain, steps = minimal_projection_chain(E)
+        want_chain, want_steps, want_profiles = _set_based_chain(E)
+        assert steps == want_steps
+        for got, want in zip(chain, want_chain):
+            np.testing.assert_array_equal(got.indices, want.indices)
+        if E.count:
+            for j, (cols, counts) in enumerate(want_profiles):
+                prof = projection_profile(E, j)
+                np.testing.assert_array_equal(prof.columns, cols)
+                np.testing.assert_array_equal(prof.section_counts, counts)
 
 
 def test_superlevel_filling_nesting_and_errors():

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import agf.moduli
+import agf.verify
 from agf import (
     BesovParams,
     InequalityReport,
     ParameterError,
+    PreconditionError,
     build_gauge,
+    default_corpus,
     derive_params,
     dyadic_decrement,
     decreasing_rearrangement,
@@ -28,7 +32,7 @@ from agf import (
     verify_rearrangement_modulus,
 )
 from agf.rearrange import iterated_rearrangement
-from agf.verify import axis_decrement_integral, box_operator_weighted_integral
+from agf.verify import _besov_product, axis_decrement_integral, box_operator_weighted_integral
 
 
 def test_report_verdict_logic():
@@ -281,3 +285,96 @@ def test_limiting_sweep_weighted_bounded_control_divergent():
     assert tc.values[-1] / tc.values[0] >= 5.0
     assert all(r.inequality_id in ("embedding-lorentz", "embedding-dyadic-step")
                for r in reports)
+
+
+# --- shared modulus curves --------------------------------------------------------
+
+_CORPUS = dict(default_corpus(20240901))
+# one 1-D, one halfspace 2-D, one hat 2-D, one general 2-D and one 3-D member
+_SHARED_CURVE_MEMBERS = ("hat-multilinear-20240903-0", "separable-exp-staircase-20240906-0",
+                         "hat-multilinear-20240908-0", "random-general-20240910-1",
+                         "random-mdec-20240911-0")
+
+
+def _curves_for(f, p):
+    return [modulus_curve(f, k, p) for k in range(f.dims)]
+
+
+def _trace_fields(tr):
+    return (tr.trace_id, tr.function_id, tr.param_name, tr.param_values.tolist(),
+            tr.values.tolist(), tr.target, tr.truncated)
+
+
+@pytest.mark.parametrize("fid", _SHARED_CURVE_MEMBERS)
+def test_verifier_reports_equal_with_and_without_shared_curves(fid, monkeypatch):
+    f = _CORPUS[fid]
+    top = max(f.extent)
+    deltas = [top * 2.0**-k for k in range(1, 9)]
+    orders = [tuple(range(f.dims)), tuple(reversed(range(f.dims)))]
+    params = derive_params(1.0, (0.6,) * f.dims, (2.0,) * f.dims, f.dims)
+
+    def run(shared):
+        if not shared:
+            # the verifiers then hand curve=None down: every call builds its own curve
+            monkeypatch.setattr(agf.verify, "modulus_curve", lambda f, k, p: None)
+        curves_for = (lambda p: _curves_for(f, p)) if shared else (lambda p: None)
+        out = []
+        for p in (1.0, 2.0):
+            curves = curves_for(p)
+            out += verify_modulus_lemmas(f, p, deltas, function_id=fid)
+            if f.dims == 1:
+                out += verify_rearrangement_modulus(f, p, [2.0**-k for k in range(1, 5)])
+            else:
+                out += verify_rearrangement_modulus(f, p, deltas, orders, fid)
+            out += [verify_isotropic_estimate(f, p, d, function_id=fid, curves=curves)
+                    for d in deltas[:3]]
+        if params.admissible:
+            curves = curves_for(params.p)
+            out += verify_embedding(f, params, "lorentz", curves=curves)
+            out += verify_embedding(f, params, "mixed", order=orders[0], curves=curves)
+        if f.dims == 2:
+            tw, tc, reps = limiting_sweep(f, 1.0, (1.0, 1.0), 4, function_id=fid)
+            out += reps + [_trace_fields(tw), _trace_fields(tc)]
+        return out
+
+    shared = run(True)
+    assert run(False) == shared
+
+
+def test_modulus_lemmas_build_one_profile_per_axis(monkeypatch):
+    calls = []
+    profile = agf.moduli._shift_power_profile
+
+    def counted(f, k, p):
+        calls.append(k)
+        return profile(f, k, p)
+
+    monkeypatch.setattr(agf.moduli, "_shift_power_profile", counted)
+    for f in (_CORPUS["random-general-20240910-1"], _CORPUS["random-mdec-20240911-0"]):
+        calls.clear()
+        verify_modulus_lemmas(f, 2.0, [max(f.extent) * 2.0**-k for k in range(1, 17)])
+        assert sorted(calls) == list(range(f.dims))
+
+
+_CURVES_ENTRY_POINTS = {
+    "verify_isotropic_estimate":
+        lambda f, params, curves: verify_isotropic_estimate(f, params.p, 0.5, curves=curves),
+    "verify_embedding": lambda f, params, curves: verify_embedding(f, params, curves=curves),
+    "_besov_product": lambda f, params, curves: _besov_product(f, params, True, curves=curves),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CURVES_ENTRY_POINTS))
+def test_curves_for_other_axis_or_p_are_rejected(name):
+    call = _CURVES_ENTRY_POINTS[name]
+    rng = np.random.default_rng(83)
+    f = make_grid_function(rng.uniform(0, 1, size=(6, 5)), (0.4, 0.5))
+    params = derive_params(1.0, (0.5, 0.5), (2.0, 2.0), 2)
+    good = _curves_for(f, 1.0)
+    call(f, params, good)
+    for bad in (good[::-1], _curves_for(f, 2.0), good[:1]):
+        with pytest.raises(PreconditionError):
+            call(f, params, bad)
+    # the check does not depend on whether f is zero
+    with pytest.raises(PreconditionError):
+        call(f.with_values(np.zeros(f.shape)), params, good[::-1])
