@@ -93,15 +93,6 @@ class ModulusCurve:
     def sup_value(self) -> float:
         return float(self.omega_p[-1]) ** (1.0 / self.p)
 
-    def segments(self):
-        """Yield (d0, d1, a, b) with omega^p = a + b*t on [d0, d1]."""
-        d, w = self.deltas, self.omega_p
-        for i in range(d.size - 1):
-            d0, d1 = float(d[i]), float(d[i + 1])
-            b = (float(w[i + 1]) - float(w[i])) / (d1 - d0)
-            a = float(w[i]) - b * d0
-            yield d0, d1, a, b
-
 
 def _running_max_curve(prof: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Running max of a piecewise-linear profile, with crossing nodes inserted."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, ResourceError
 from .geometry import AnisotropicGauge, box_average_field, box_average_on_grid, build_gauge
 from .grid import GridFunction, make_grid_function
 from .moduli import (
@@ -207,6 +207,9 @@ def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
     curves = [modulus_curve(f, j, p) for j in range(n)]
     tv = gauge.t_values
     t_prev = np.concatenate([[0.0], tv[:-1]]) if tv.size else tv
+    # the terms of lattice point i, shared by every (axis, h)
+    window = [phi.window_power_integral(t_prev[i], tv[i], p) for i in range(tv.size)]
+    peak = [tv[i] ** (1.0 / p) * float(phi(tv[i])) for i in range(tv.size)]
     for j in range(n):
         for h in h_values:
             params = {"p": p, "order": list(order), "axis": j, "h": float(h)}
@@ -228,8 +231,8 @@ def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
             lhs_sup = 0.0
             for i in np.flatnonzero(mask):
                 u = gauge.u[i, j]
-                lhs_int += phi.window_power_integral(t_prev[i], tv[i], p) / u**p
-                lhs_sup = max(lhs_sup, tv[i] ** (1.0 / p) * float(phi(tv[i])) / u)
+                lhs_int += window[i] / u**p
+                lhs_sup = max(lhs_sup, peak[i] / u)
             reports.append(InequalityReport(
                 "aniso-gauge-integral", function_id, params,
                 lhs_int, (omega / h) ** p, budget_integral,
@@ -458,7 +461,8 @@ def verify_gagliardo_limit(f: GridFunction, p: float, m_max: int,
 
     For a 1-D piecewise-constant representative the limit of
     (1 - alpha) * double integral as alpha -> 1 is (2/p) times the p-th power
-    of the difference-quotient derivative norm.
+    of the difference-quotient derivative norm.  On a grid past the size guard
+    of the double integral the trace has no points and is marked truncated.
     """
     if f.dims != 1:
         raise PreconditionError("the Gagliardo limit target is implemented for n = 1")
@@ -467,7 +471,12 @@ def verify_gagliardo_limit(f: GridFunction, p: float, m_max: int,
     vals = np.empty(ms.size)
     for i, m in enumerate(ms):
         alpha = 1.0 - 2.0**-m
-        vals[i] = (1.0 - alpha) * gagliardo_seminorm(f, alpha, p)
+        try:
+            vals[i] = (1.0 - alpha) * gagliardo_seminorm(f, alpha, p)
+        except ResourceError:
+            # past the size guard of the double sum: the trace stops here
+            return LimitTrace("gagliardo-limit", function_id, "m", ms[:i], vals[:i],
+                              target, truncated=True)
     return LimitTrace("gagliardo-limit", function_id, "m", ms, vals, target)
 
 
@@ -479,7 +488,9 @@ def verify_fractional_sobolev(f: GridFunction, p: float, alpha: float,
 
     LHS is the p-th power of the L^(p*) norm (and, in the second report, of
     the stronger Lorentz(p*, p) norm), p* = np/(n - alpha p); RHS is
-    (1 - alpha)/(n - alpha p)^(p-1) times the Gagliardo double integral.
+    (1 - alpha)/(n - alpha p)^(p-1) times the Gagliardo double integral.  On
+    a grid past the size guard of that integral both reports are degenerate,
+    and their truncation names the cell count and the guard.
     """
     n = f.dims
     if not 0.5 <= alpha < 1.0:
@@ -491,8 +502,15 @@ def verify_fractional_sobolev(f: GridFunction, p: float, alpha: float,
     if f.support_cells == 0:
         return [_degenerate("fractional-sobolev", function_id, params, budget),
                 _degenerate("fractional-sobolev-lorentz", function_id, params, budget_lorentz)]
+    try:
+        gagliardo = gagliardo_seminorm(f, alpha, p)
+    except ResourceError as exc:
+        note = f"not computed: {exc}"
+        return [_degenerate("fractional-sobolev", function_id, params, budget, note),
+                _degenerate("fractional-sobolev-lorentz", function_id, params,
+                            budget_lorentz, note)]
     sf = decreasing_rearrangement(f)
-    rhs = (1.0 - alpha) / (n - alpha * p) ** (p - 1.0) * gagliardo_seminorm(f, alpha, p)
+    rhs = (1.0 - alpha) / (n - alpha * p) ** (p - 1.0) * gagliardo
     lhs = lorentz_norm(sf, p_star, p_star) ** p
     lhs_lorentz = lorentz_norm(sf, p_star, p) ** p
     return [

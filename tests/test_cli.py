@@ -2,8 +2,13 @@ import os
 
 import pytest
 
-from agf import AgfError
-from agf.cli import main, parse_config
+from agf import (AgfError, calibrate_from_reports, corpus_hash, default_corpus,
+                 load_budgets, run_experiment)
+from agf.cli import _BUDGET_EXPERIMENTS, main, parse_config
+from agf.experiments import ExperimentResult
+
+_COMMITTED_BUDGETS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                  "calibration", "budgets.json")
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +172,16 @@ def test_reused_out_dir_drops_stale_optional_files(tmp_path, budget_file):
     assert not (out / "gauge.csv").exists()
     assert (out / "reports.csv").exists() and (out / "summary.txt").exists()
     assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_fresh_calibration_matches_committed_budgets():
+    corpus = default_corpus(20240901)
+    result = ExperimentResult()
+    for name in _BUDGET_EXPERIMENTS:
+        result.extend(run_experiment(name, corpus))
+    fresh = calibrate_from_reports(result.reports, corpus_hash(corpus))
+    committed = load_budgets(_COMMITTED_BUDGETS)
+    assert fresh.corpus_hash == committed.corpus_hash
+    assert sorted(fresh.budgets) == sorted(committed.budgets)
+    for iid, budget in committed.budgets.items():
+        assert fresh.budgets[iid] == pytest.approx(budget, rel=1e-12, abs=0.0), iid

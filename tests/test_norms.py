@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from agf import (
     ParameterError,
     PreconditionError,
+    ResourceError,
     besov_seminorm,
     decreasing_rearrangement,
     derive_lipschitz_params,
@@ -19,6 +21,7 @@ from agf import (
     mixed_lorentz_norm,
     modulus_curve,
 )
+from agf.norms import _offset_power_sums
 from agf.step import StepFunction
 
 
@@ -165,3 +168,228 @@ def test_derive_lipschitz_params():
     assert lp.nu == 2
     assert lp.q_star == pytest.approx(2.0)
     assert lp.s == pytest.approx(1.0)
+
+
+# --- Gagliardo by cell offset against the per-cell and per-offset loops ---------
+
+def _gagliardo_per_cell_oracle(f, alpha, p):
+    """The per-cell double sum that the offset form replaced."""
+    n = f.dims
+    cs = np.asarray(f.cell_sizes)
+    v = f.cell_volume
+    expo = n + alpha * p
+    idx = np.argwhere(np.ones(f.shape, dtype=bool))
+    vals = f.values.ravel()
+    near_cut = 2.0 * float(np.max(cs))
+    refine = 4
+    axes = [np.arange(refine) + 0.5 for _ in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    sub_offsets = np.stack([m.ravel() for m in mesh], axis=1) / refine * cs
+    sub_w = (v / refine**n) ** 2
+    cache = {}
+    total = 0.0
+    for i in range(vals.size):
+        dvals = np.abs(vals[i + 1:] - vals[i]) ** p
+        live = dvals > 0
+        if not np.any(live):
+            continue
+        offs = idx[i + 1:][live] - idx[i]
+        dv = dvals[live]
+        dist = np.sqrt(np.sum((offs * cs) ** 2, axis=1))
+        far = dist > near_cut
+        total += 2.0 * v * v * float(np.sum(dv[far] * dist[far] ** (-expo)))
+        for o, dval in zip(offs[~far], dv[~far]):
+            key = tuple(int(x) for x in o)
+            if key not in cache:
+                diffs = np.asarray(key) * cs + sub_offsets[None, :, :] - sub_offsets[:, None, :]
+                dd = np.sqrt(np.sum(diffs**2, axis=2))
+                cache[key] = sub_w * float(np.sum(dd ** (-expo)))
+            total += 2.0 * dval * cache[key]
+    return total
+
+
+def _gagliardo_1d_per_offset_oracle(f, alpha, p):
+    """The 1-D closed form with its former per-offset loop."""
+    a = f.values
+    nn = a.size
+    c = f.cell_sizes[0]
+    beta = 1.0 + alpha * p
+    jumps = np.abs(np.diff(np.concatenate([[0.0], a, [0.0]])))
+    if alpha * p >= 1.0:
+        return math.inf if np.any(jumps > 0) else 0.0
+    e = 2.0 - beta
+    m = np.arange(1, nn + 1, dtype=np.float64)
+    pair_k = (c**e) * ((m + 1.0) ** e - 2.0 * m**e + (m - 1.0) ** e) / ((1.0 - beta) * e)
+    total = 0.0
+    for off in range(1, nn):
+        s = float(np.sum(np.abs(a[off:] - a[:-off]) ** p))
+        if s:
+            total += s * pair_k[off - 1]
+    j = np.arange(nn, dtype=np.float64)
+    side = (c**e) * ((j + 1.0) ** e - j**e) / ((beta - 1.0) * e)
+    vp = a**p
+    total += float(np.sum(vp * side)) + float(np.sum(vp * side[::-1]))
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("shape,cells", [
+    ((6, 6), (0.25, 0.25)),
+    ((5, 9), (0.1, 0.35)),
+    ((1, 11), (0.5, 0.125)),
+    ((8, 1), (0.2, 0.3)),
+    ((3, 4, 5), (0.5, 0.25, 0.4)),
+    ((4, 1, 3), (0.3, 0.3, 0.9)),
+])
+def test_gagliardo_offset_form_matches_per_cell_loop(shape, cells):
+    rng = np.random.default_rng(sum(shape))
+    vals = rng.uniform(0.0, 2.0, size=shape)
+    vals[rng.uniform(size=shape) < 0.3] = 0.0
+    vals[: max(1, shape[0] // 2)] = 0.0  # a zero region
+    f = make_grid_function(vals, cells)
+    for p in (1.0, 1.5, 2.0):
+        for alpha in (0.3, 0.5, 0.75):
+            want = _gagliardo_per_cell_oracle(f, alpha, p)
+            assert gagliardo_seminorm(f, alpha, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_gagliardo_zero_and_constant_grids():
+    zero = make_grid_function(np.zeros((4, 5)), (0.5, 0.5))
+    assert gagliardo_seminorm(zero, 0.5, 1.0) == 0.0
+    flat = make_grid_function(np.full((3, 3), 2.0), (1.0, 1.0))
+    assert gagliardo_seminorm(flat, 0.5, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("nn", [1, 2, 7, 64, 300])
+def test_gagliardo_1d_matches_per_offset_loop(nn):
+    rng = np.random.default_rng(nn)
+    vals = rng.uniform(0.0, 2.0, size=nn)
+    vals[rng.uniform(size=nn) < 0.25] = 0.0
+    f = make_grid_function(vals, 1.0 / nn)
+    for p, alpha in [(1.0, 0.3), (1.0, 0.75), (1.5, 0.5), (2.0, 0.3), (2.0, 0.75)]:
+        want = _gagliardo_1d_per_offset_oracle(f, alpha, p)
+        got = gagliardo_seminorm(f, alpha, p)
+        if math.isinf(want):
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_offset_power_sums_1d_keep_the_bits_of_np_sum():
+    rng = np.random.default_rng(3)
+    for nn in (5, 64, 300):
+        a = rng.uniform(0.0, 1.0, size=nn)
+        for p in (1.0, 1.5):
+            offs, sums = _offset_power_sums(a, p)
+            assert offs[:, 0].tolist() == list(range(1, nn))
+            want = [float(np.sum(np.abs(a[o:] - a[:-o]) ** p)) for o in range(1, nn)]
+            assert sums.tolist() == want
+
+
+def test_offset_power_sums_against_brute_force():
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(size=(3, 4, 2))
+    offs, sums = _offset_power_sums(vals, 1.5)
+    want = {}
+    idx = [tuple(i) for i in np.argwhere(np.ones(vals.shape, dtype=bool))]
+    for x in idx:
+        for y in idx:
+            o = tuple(b - a for a, b in zip(x, y))
+            if o > (0, 0, 0):
+                want[o] = want.get(o, 0.0) + abs(vals[y] - vals[x]) ** 1.5
+    got = {tuple(int(c) for c in o): s for o, s in zip(offs, sums)}
+    assert set(got) == set(want)
+    for o in want:
+        assert got[o] == pytest.approx(want[o], rel=1e-12)
+
+
+def test_gagliardo_guard_at_ten_thousand_cells():
+    rng = np.random.default_rng(11)
+    at_guard = make_grid_function(rng.uniform(size=(100, 100)), (0.01, 0.01))
+    assert math.isfinite(gagliardo_seminorm(at_guard, 0.5, 1.0))
+    past_guard = make_grid_function(rng.uniform(size=(73, 137)), (0.01, 0.01))
+    with pytest.raises(ResourceError, match="10001 cells"):
+        gagliardo_seminorm(past_guard, 0.5, 1.0)
+
+
+def test_gagliardo_memory_is_bounded():
+    f = make_grid_function(np.random.default_rng(2).uniform(size=(2, 5000)), (1e-3, 1e-3))
+    tracemalloc.start()
+    try:
+        gagliardo_seminorm(f, 0.5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+# --- Besov panels in one pass against the per-segment loop ---------------------
+
+def _besov_per_segment_oracle(curve, alpha, theta):
+    """The per-segment loop that the array pass replaced (finite theta)."""
+    p = curve.p
+    x, w = np.polynomial.legendre.leggauss(48)
+    tp = theta / p
+    at = alpha * theta
+    d, om = curve.deltas, curve.omega_p
+    acc = 0.0
+    for i in range(d.size - 1):
+        d0, d1 = float(d[i]), float(d[i + 1])
+        b = (float(om[i + 1]) - float(om[i])) / (d1 - d0)
+        a = float(om[i]) - b * d0
+        if a == 0.0 and d0 == 0.0:
+            if b == 0.0:
+                continue
+            e = tp - at
+            if e <= 0:
+                return math.inf
+            acc += (b**tp) * (d1**e) / e
+        elif b == 0.0:
+            if a > 0.0:
+                acc += (a**tp) * (d0 ** (-at) - d1 ** (-at)) / at
+        else:
+            mid, half = 0.5 * (d0 + d1), 0.5 * (d1 - d0)
+            t = mid + half * x
+            acc += float(half * np.sum(w * (t ** (-at - 1.0) * (a + b * t) ** tp)))
+    wmax = float(om[-1])
+    dlast = float(d[-1])
+    if wmax > 0.0 and dlast > 0.0:
+        acc += (wmax**tp) * (dlast ** (-at)) / at
+    return acc ** (1.0 / theta)
+
+
+def test_besov_matches_per_segment_loop():
+    rng = np.random.default_rng(21)
+    funcs = [
+        make_grid_function(rng.uniform(0, 2, size=40) * (rng.uniform(size=40) < 0.4), 0.05),
+        make_grid_function(rng.uniform(0, 0.3, size=40) * (rng.uniform(size=40) < 0.4), 0.05),
+        make_grid_function([0.0, 1.0, 1.0, 0.0, 3.0, 0.0], 0.25),
+        make_grid_function(rng.uniform(0, 1, size=(7, 6)), (0.4, 0.3)),
+        make_grid_function(np.minimum(np.arange(1, 33), np.arange(32, 0, -1)) / 16.0, 1 / 32),
+    ]
+    kinds = set()
+    for f in funcs:
+        for k in range(f.dims):
+            for p in (1.0, 1.5, 2.0):
+                curve = modulus_curve(f, k, p)
+                d, om = curve.deltas, curve.omega_p
+                b = np.diff(om) / np.diff(d)
+                kinds.update("flat" if bb == 0 else "smooth" for bb in b[1:])
+                for alpha in (0.2, 0.5, 0.9):
+                    for theta in (1.0, 1.5, 2.0):
+                        want = _besov_per_segment_oracle(curve, alpha, theta)
+                        got = besov_seminorm(f, k, alpha, theta, p, curve=curve)
+                        if math.isinf(want):
+                            assert got == math.inf
+                        else:
+                            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                    assert besov_seminorm(f, k, alpha, math.inf, p, curve=curve) == (
+                        lipschitz_seminorm(f, k, alpha, p, curve=curve).value)
+    assert kinds == {"flat", "smooth"}
+
+
+def test_besov_divergent_in_both():
+    f = make_grid_function([1.0, 0.0, 2.0], 0.5)
+    for p, alpha, theta in [(2.0, 0.6, 2.0), (2.0, 0.5, 1.0), (1.5, 0.7, 1.5)]:
+        curve = modulus_curve(f, 0, p)
+        assert _besov_per_segment_oracle(curve, alpha, theta) == math.inf
+        assert besov_seminorm(f, 0, alpha, theta, p, curve=curve) == math.inf

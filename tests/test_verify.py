@@ -7,6 +7,7 @@ import agf.moduli
 import agf.verify
 from agf import (
     BesovParams,
+    CorpusSpec,
     InequalityReport,
     ParameterError,
     PreconditionError,
@@ -15,9 +16,11 @@ from agf import (
     derive_params,
     dyadic_decrement,
     decreasing_rearrangement,
+    generate_corpus,
     limiting_sweep,
     make_grid_function,
     modulus_curve,
+    run_experiment,
     verify_anisotropic_estimate,
     verify_axis_decrement,
     verify_box_operator,
@@ -378,3 +381,68 @@ def test_curves_for_other_axis_or_p_are_rejected(name):
     # the check does not depend on whether f is zero
     with pytest.raises(PreconditionError):
         call(f.with_values(np.zeros(f.shape)), params, good[::-1])
+
+
+def _aniso_per_pair_oracle(f, p, order, h_values, gauge):
+    """verify_anisotropic_estimate with its lattice terms evaluated per (axis, h)."""
+    phi = dyadic_decrement(decreasing_rearrangement(f))
+    tv = gauge.t_values
+    t_prev = np.concatenate([[0.0], tv[:-1]]) if tv.size else tv
+    out = []
+    for j in range(f.dims):
+        curve = modulus_curve(f, j, p)
+        for h in h_values:
+            mask = gauge.omega_mask(j, h)
+            if gauge.degenerate or tv.size == 0 or not np.any(mask):
+                out.append(None)
+                continue
+            lhs_int = 0.0
+            lhs_sup = 0.0
+            for i in np.flatnonzero(mask):
+                u = gauge.u[i, j]
+                lhs_int += phi.window_power_integral(t_prev[i], tv[i], p) / u**p
+                lhs_sup = max(lhs_sup, tv[i] ** (1.0 / p) * float(phi(tv[i])) / u)
+            omega = float(curve(h))
+            out.append((lhs_int, (omega / h) ** p, lhs_sup, omega / h))
+    return out
+
+
+@pytest.mark.parametrize("fid", [fid for fid, f in _CORPUS.items() if f.dims == 2])
+def test_aniso_lattice_terms_hoisted_keep_the_bits(fid):
+    f = _CORPUS[fid]
+    hs = [max(f.extent) * 2.0**-k for k in range(1, 7)]
+    for order in ((0, 1), (1, 0)):
+        gauge = build_gauge(f, order)
+        reps = verify_anisotropic_estimate(f, 1.0, order, hs, gauge=gauge, function_id=fid)
+        want = _aniso_per_pair_oracle(f, 1.0, order, hs, gauge)
+        assert len(reps) == 2 * len(want)
+        for ri, rs, w in zip(reps[::2], reps[1::2], want):
+            if w is None:
+                assert ri.degenerate and rs.degenerate
+            else:
+                assert (ri.lhs, ri.rhs, rs.lhs, rs.rhs) == w
+
+
+def test_bbm_reports_past_the_gagliardo_guard():
+    small = (generate_corpus(CorpusSpec("hat-multilinear", (16,), (1 / 16,), 5))
+             + generate_corpus(CorpusSpec("hat-multilinear", (8, 8), (1 / 8, 1 / 8), 6))
+             + generate_corpus(CorpusSpec("indicator-box", (8,), (0.125,), 7)))
+    big = (generate_corpus(CorpusSpec("hat-multilinear", (128, 128), (1 / 128, 1 / 128), 3))
+           + generate_corpus(CorpusSpec("hat-multilinear", (10240,), (1 / 10240,), 4)))
+    opts = {"m_max": 2}
+    mixed = run_experiment("bbm", big[:1] + small + big[1:], opts=opts)
+    alone = run_experiment("bbm", small, opts=opts)
+    small_ids = {fid for fid, _ in small}
+    assert [r for r in mixed.reports if r.function_id in small_ids] == alone.reports
+    assert ([_trace_fields(t) for t in mixed.traces if t.function_id in small_ids]
+            == [_trace_fields(t) for t in alone.traces])
+    for fid, f in big:
+        reps = [r for r in mixed.reports if r.function_id == fid]
+        assert sorted(r.inequality_id for r in reps) == [
+            "fractional-sobolev", "fractional-sobolev", "fractional-sobolev-lorentz",
+            "fractional-sobolev-lorentz"]
+        for r in reps:
+            assert r.verdict == "degenerate"
+            assert f"{f.values.size} cells" in r.truncation and "10000" in r.truncation
+    gag = [t for t in mixed.traces if t.function_id == big[1][0] and t.trace_id == "gagliardo-limit"]
+    assert len(gag) == 1 and gag[0].truncated and gag[0].values.size == 0
