@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, ResourceError
-from .geometry import AnisotropicGauge, box_average_field, box_average_on_grid, build_gauge
+from .geometry import (AnisotropicGauge, box_average_field, box_weights, build_gauge,
+                       contract_axes)
 from .grid import GridFunction, make_grid_function
 from .moduli import (
     ModulusCurve,
@@ -132,17 +134,45 @@ def _axis_curves(f: GridFunction, p: float, curves) -> list[ModulusCurve | None]
 
 # --- isotropic rearrangement estimate -------------------------------------------
 
+class DecrementSums(NamedTuple):
+    """The delta-free part of the isotropic estimate's left side, for one (f, p).
+
+    On the k-th step (left[k], right[k]] of f*, ``inner[k]`` is the integral
+    over (0, t) of (f*(u) - f*(t))^p; ``tail`` is the same integral for t
+    beyond the support.  Building it costs O(K^2) for K steps.
+    """
+
+    p: float
+    left: np.ndarray
+    right: np.ndarray
+    inner: tuple[float, ...]
+    tail: float
+
+
+def decrement_sums(f: GridFunction, p: float) -> DecrementSums:
+    """The ``DecrementSums`` of f at exponent p, as ``verify_isotropic_estimate`` uses them."""
+    sf = decreasing_rearrangement(f)
+    bp = sf.breakpoints
+    vals = sf.values
+    left = np.concatenate([[0.0], bp[:-1]])
+    widths = bp - left
+    # inner integral is constant on each rearrangement step
+    inner = tuple(float(np.sum((vals[:k] - vals[k]) ** p * widths[:k])) for k in range(vals.size))
+    return DecrementSums(p, left, bp, inner, float(np.sum(vals**p * widths)))
+
+
 def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
                               budget: float = math.inf,
                               function_id: str = "",
-                              curves=None) -> InequalityReport:
+                              curves=None, sums: DecrementSums | None = None) -> InequalityReport:
     """Tail integral of the rearrangement decrement against the isotropic modulus.
 
     LHS = integral over t > delta^n of t^(-p/n - 1) * integral_0^t
     (f*(u) - f*(t))^p du dt, closed form on the rearrangement steps.
     RHS = (omega(f; delta)_p / delta)^p with the isotropic modulus taken as the
     max over axes of the partial moduli (recorded in the params).  ``curves``
-    holds ``modulus_curve(f, k, p)`` for k = 0..n-1 when the caller has them.
+    holds ``modulus_curve(f, k, p)`` for k = 0..n-1 and ``sums`` holds
+    ``decrement_sums(f, p)`` when the caller has them.
     """
     if not math.isfinite(p) or p < 1:
         raise ParameterError(f"p must be finite and >= 1, got {p}")
@@ -150,26 +180,23 @@ def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
         raise ParameterError(f"delta must be > 0, got {delta}")
     n = f.dims
     curves = _axis_curves(f, p, curves)
+    if sums is None:
+        sums = decrement_sums(f, p)
+    elif sums.p != p:
+        raise PreconditionError(f"decrement sums were built for p={sums.p}; requested p={p}")
     params = {"p": p, "delta": delta, "isotropic_modulus": "max-over-axes"}
-    sf = decreasing_rearrangement(f)
-    if sf.values.size == 0:
+    if not sums.inner:
         return _degenerate("rearr-estimate", function_id, params, budget)
-    bp = sf.breakpoints
-    vals = sf.values
-    left = np.concatenate([[0.0], bp[:-1]])
-    widths = bp - left
+    left, bp = sums.left, sums.right
     lo_cut = delta**n
     e = p / n
     lhs = 0.0
-    # inner integral is constant on each rearrangement step
-    for k in range(vals.size):
-        inner = float(np.sum((vals[:k] - vals[k]) ** p * widths[:k]))
+    for k, inner in enumerate(sums.inner):
         lo, hi = max(left[k], lo_cut), bp[k]
         if inner > 0.0 and hi > lo:
             lhs += inner * (lo ** (-e) - hi ** (-e)) / e
-    inner_tail = float(np.sum(vals**p * widths))
     tail_lo = max(bp[-1], lo_cut)
-    lhs += inner_tail * tail_lo ** (-e) / e
+    lhs += sums.tail * tail_lo ** (-e) / e
     omega = max(partial_modulus(f, k, delta, p, curve=curves[k]) for k in range(n))
     rhs = (omega / delta) ** p
     return InequalityReport("rearr-estimate", function_id, params, lhs, rhs, budget)
@@ -638,25 +665,37 @@ def _orthant_weight_integral(phi: GridFunction, a: float) -> float:
 
 
 _BOX_NODES = 16
-_MAX_QUAD_POINTS = 2_000_000
+_BOX_CHUNK = 1 << 16  # float64 values of the Gauss tensor grid held at once
 
 
-def box_operator_weighted_integral(phi: GridFunction, r: float, a: float) -> float:
-    """Quadrature for the integral of (box average of phi)^r * pi(x)^a over the orthant.
+class BoxPanels(NamedTuple):
+    """The Gauss panels of one axis for the weighted box-operator integral.
 
-    Per-axis substitution x = s^2 removes the a = -1/2 singularity; panels are
-    split at every cell edge and doubled cell edge, where the box average has
-    kinks, so the integrand is smooth on each panel and fixed-order Gauss
-    nodes resolve it to near machine precision.
+    Panels split [0, 2 * extent] at every cell edge and doubled cell edge,
+    where the box average has kinks, under the substitution x = s^2.
+    ``nodes`` holds the Gauss nodes in s, ``half_weights`` their Gauss
+    weights times the panel half-width, and ``box`` the box matrix W of the
+    axis at x = nodes^2, one column per cell of size ``cell_size``.
     """
-    if a <= -1.0:
-        raise ParameterError(f"the weight is integrable only for a > -1, got {a}")
-    if any(o != 0.0 for o in phi.origin):
-        raise PreconditionError("the box operator lives on grids anchored at the origin")
+
+    nodes: np.ndarray
+    half_weights: np.ndarray
+    box: np.ndarray
+    cell_size: float
+
+    def weights(self, a: float) -> np.ndarray:
+        """Quadrature weights in x for the weight x^a (Jacobian 2 s included)."""
+        return self.half_weights * 2.0 * self.nodes ** (2.0 * a + 1.0)
+
+
+def box_panels(phi: GridFunction) -> list[BoxPanels]:
+    """One ``BoxPanels`` per axis of phi; they depend on its shape and cells only.
+
+    An axis of s cells has about 1.5 s panels, so m = 24 s Gauss nodes and a
+    box matrix of 24 s^2 float64 values.
+    """
     nodes, gw = _leggauss(_BOX_NODES)
-    axis_nodes = []
-    axis_weights = []
-    npoints = 1
+    out = []
     for s, c in zip(phi.shape, phi.cell_sizes):
         edges = np.unique(np.concatenate([
             np.arange(s + 1, dtype=np.float64) * c,
@@ -666,16 +705,62 @@ def box_operator_weighted_integral(phi: GridFunction, r: float, a: float) -> flo
         mid = 0.5 * (se[1:] + se[:-1])
         half = 0.5 * (se[1:] - se[:-1])
         sn = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        wn = (half[:, None] * gw[None, :]).ravel() * 2.0 * sn ** (2.0 * a + 1.0)
-        axis_nodes.append(sn**2)
-        axis_weights.append(wn)
-        npoints *= sn.size
-    if npoints > _MAX_QUAD_POINTS:
-        raise ParameterError(f"quadrature grid of {npoints} points exceeds {_MAX_QUAD_POINTS}")
-    field = box_average_on_grid(phi, axis_nodes) ** r
-    for w in axis_weights:
-        field = np.tensordot(w, field, axes=([0], [0]))
-    return float(field)
+        hw = (half[:, None] * gw[None, :]).ravel()
+        out.append(BoxPanels(sn, hw, box_weights(sn**2, s, c), c))
+    return out
+
+
+def box_operator_weighted_integral(phi: GridFunction, r: float, a: float,
+                                   panels=None) -> float:
+    """Quadrature for the integral of (box average of phi)^r * pi(x)^a over the orthant.
+
+    Per-axis substitution x = s^2 removes the a = -1/2 singularity; panels are
+    split at every cell edge and doubled cell edge, where the box average has
+    kinks, so the integrand is smooth on each panel and fixed-order Gauss
+    nodes resolve it to near machine precision.
+
+    The box average is separable, T phi(x) = sum_c phi_c prod_k W_k(x_k, c_k),
+    so the m_1 x ... x m_n Gauss tensor grid is never needed for r = 1 or 2:
+
+    * r = 1 is sum_c phi_c prod_k g_k(c_k) with g_k = w_k^T W_k, about
+      sum_k m_k s_k products for s_k cells on axis k;
+    * r = 2 with n >= 2 contracts phi with one Gram matrix
+      G_k = W_k^T diag(w_k) W_k per axis (m_k s_k^2 products each) and takes
+      the inner product with phi;
+    * any other r, and r = 2 in 1-D, where the m_1 Gauss nodes cost less than
+      the m_1 s_1^2 of a Gram matrix, evaluate T phi on the tensor grid in
+      chunks over axis 0, ``_BOX_CHUNK`` values at a time, so memory stays
+      bounded.
+
+    ``panels`` holds ``box_panels(phi)`` when the caller has them.
+    """
+    if a <= -1.0:
+        raise ParameterError(f"the weight is integrable only for a > -1, got {a}")
+    if any(o != 0.0 for o in phi.origin):
+        raise PreconditionError("the box operator lives on grids anchored at the origin")
+    if panels is None:
+        panels = box_panels(phi)
+    elif [(pn.box.shape[1], pn.cell_size) for pn in panels] != list(zip(phi.shape, phi.cell_sizes)):
+        raise PreconditionError("box panels were built for another grid")
+    weights = [pn.weights(a) for pn in panels]
+    mats = [pn.box for pn in panels]
+    if r == 1:
+        out = phi.values
+        for w, m in zip(weights, mats):
+            out = np.tensordot(w @ m, out, axes=([0], [0]))
+        return float(out)
+    if r == 2 and phi.dims > 1:
+        grams = [(m * w[:, None]).T @ m for w, m in zip(weights, mats)]
+        return float(np.vdot(phi.values, contract_axes(phi.values, grams)))
+    rest = math.prod(m.shape[0] for m in mats[1:])
+    step = max(1, _BOX_CHUNK // rest)
+    total = 0.0
+    for i in range(0, mats[0].shape[0], step):
+        field = contract_axes(phi.values, [mats[0][i:i + step]] + mats[1:]) ** r
+        for w in [weights[0][i:i + step]] + weights[1:]:
+            field = np.tensordot(w, field, axes=([0], [0]))
+        total += float(field)
+    return total
 
 
 def verify_box_operator(phi: GridFunction, rs, a_values,
@@ -696,6 +781,7 @@ def verify_box_operator(phi: GridFunction, rs, a_values,
                                       phi.values / np.maximum(tfield.values, 1e-300), 0.0)))
         reports.append(InequalityReport("box-operator-pointwise", function_id, {},
                                         ratio, 1.0, 1.0))
+    panels = None if zero else box_panels(phi)
     for r in rs:
         for a in a_values:
             params = {"r": float(r), "a": float(a)}
@@ -703,7 +789,7 @@ def verify_box_operator(phi: GridFunction, rs, a_values,
             if zero:
                 reports.append(_degenerate("box-operator-weight", function_id, params, budget))
                 continue
-            lhs = box_operator_weighted_integral(phi, r, a)
+            lhs = box_operator_weighted_integral(phi, r, a, panels=panels)
             rhs_base = _orthant_weight_integral(phi.with_values(phi.values**r), a)
             reports.append(InequalityReport("box-operator-weight", function_id, params,
                                             lhs, rhs_base, budget,

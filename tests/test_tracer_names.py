@@ -1,0 +1,34 @@
+"""The benchmark's span tracer names agf functions by string; each name must resolve."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _traced_names():
+    spans = _spans()
+    names = [(layer, fn) for layer, fns in spans.LAYERS.items() for fn in fns]
+    names += [("cli", fn) for fn in spans.EMIT_FUNCTIONS]
+    names += list(spans.SETUP_FUNCTIONS)
+    return names
+
+
+@pytest.mark.parametrize("module, name", _traced_names())
+def test_traced_function_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"agf.{module}"), name, None))
+
+
+def test_job_builders_cover_the_traced_experiments():
+    experiments = importlib.import_module("agf.experiments")
+    assert set(_spans().EXPERIMENTS) <= set(experiments._JOB_BUILDERS)

@@ -35,7 +35,8 @@ from agf import (
     verify_rearrangement_modulus,
 )
 from agf.rearrange import iterated_rearrangement
-from agf.verify import _besov_product, axis_decrement_integral, box_operator_weighted_integral
+from agf.verify import (_besov_product, axis_decrement_integral, box_operator_weighted_integral,
+                        decrement_sums)
 
 
 def test_report_verdict_logic():
@@ -446,3 +447,43 @@ def test_bbm_reports_past_the_gagliardo_guard():
             assert f"{f.values.size} cells" in r.truncation and "10000" in r.truncation
     gag = [t for t in mixed.traces if t.function_id == big[1][0] and t.trace_id == "gagliardo-limit"]
     assert len(gag) == 1 and gag[0].truncated and gag[0].values.size == 0
+
+
+def _isotropic_lhs_per_delta(f, p, delta):
+    """The isotropic estimate's left side with its inner sums rebuilt for one delta."""
+    sf = decreasing_rearrangement(f)
+    bp = sf.breakpoints
+    vals = sf.values
+    left = np.concatenate([[0.0], bp[:-1]])
+    widths = bp - left
+    lo_cut = delta**f.dims
+    e = p / f.dims
+    lhs = 0.0
+    for k in range(vals.size):
+        inner = float(np.sum((vals[:k] - vals[k]) ** p * widths[:k]))
+        lo, hi = max(left[k], lo_cut), bp[k]
+        if inner > 0.0 and hi > lo:
+            lhs += inner * (lo ** (-e) - hi ** (-e)) / e
+    inner_tail = float(np.sum(vals**p * widths))
+    tail_lo = max(bp[-1], lo_cut)
+    return lhs + inner_tail * tail_lo ** (-e) / e
+
+
+@pytest.mark.parametrize("fid", list(_CORPUS))
+def test_isotropic_estimate_with_shared_sums_keeps_the_bits(fid):
+    f = _CORPUS[fid]
+    deltas = [max(f.extent) * 2.0**-k for k in range(1, 6)]
+    for p in (1.0, 2.0):
+        sums = decrement_sums(f, p)
+        for d in deltas:
+            shared = verify_isotropic_estimate(f, p, d, function_id=fid, sums=sums)
+            assert shared == verify_isotropic_estimate(f, p, d, function_id=fid)
+            assert shared.lhs == _isotropic_lhs_per_delta(f, p, d)
+
+
+def test_isotropic_estimate_rejects_sums_for_another_p():
+    f = _CORPUS["random-general-20240904-0"]
+    with pytest.raises(PreconditionError):
+        verify_isotropic_estimate(f, 1.0, 0.25, sums=decrement_sums(f, 2.0))
+    zero = f.with_values(np.zeros(f.shape))
+    assert verify_isotropic_estimate(zero, 1.0, 0.25, sums=decrement_sums(zero, 1.0)).degenerate
