@@ -1,10 +1,11 @@
 """Frozen empirical budgets for the "there exists a constant" inequalities.
 
-Hard constants stated by the estimates themselves are asserted directly in
-the verifiers and never appear here.  Everything else gets a budget equal to
-a margin (default 2x) times the maximum ratio observed on a pinned corpus;
-the corpus hash is stored so a stale budget file is a hard error rather than
-a silently wrong baseline.
+``verify.INEQUALITIES`` declares the tier of every inequality.  Hard constants
+stated by the estimates themselves come from that table and never appear
+here.  Every calibrated inequality gets a budget equal to a margin (default
+2x) times the maximum ratio observed on a pinned corpus; the corpus hash is
+stored so a stale budget file is a hard error rather than a silently wrong
+baseline.  ``run_experiment(..., budgets=)`` applies the file to the reports.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .verify import HARD_BUDGETS, InequalityReport
+from .verify import INEQUALITIES, InequalityReport
 
 DEFAULT_MARGIN = 2.0
 
@@ -46,12 +47,12 @@ def calibrate_from_reports(reports: list[InequalityReport], corpus_hash: str,
                            margin: float = DEFAULT_MARGIN) -> BudgetFile:
     """Fold verifier reports into per-inequality budgets (margin x max ratio).
 
-    Hard-constant inequalities are skipped; degenerate and infinite-ratio
-    reports do not contribute.
+    Inequalities with a hard constant in ``INEQUALITIES`` are skipped;
+    degenerate and infinite-ratio reports do not contribute.
     """
     max_ratios: dict[str, float] = {}
     for rep in reports:
-        if rep.inequality_id in HARD_BUDGETS or rep.degenerate:
+        if INEQUALITIES.get(rep.inequality_id) is not None or rep.degenerate:
             continue
         r = rep.ratio
         if not math.isfinite(r):

@@ -15,10 +15,12 @@ Exit status: 0 on success, 1 if any verdict is fail, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from .calibration import (DEFAULT_MARGIN, calibrate_from_reports, load_budgets,
                           save_budgets)
@@ -105,7 +107,45 @@ def write_gauge_csv(path, rows) -> None:
                      f"{_fmt(ach)},{_fmt(pm)}\n")
 
 
+class _SummaryRow(NamedTuple):
+    """The fields of a report that ``summarize`` reads."""
+
+    inequality_id: str
+    ratio: float
+    budget: float
+    verdict: str
+
+
+def _read_summary_rows(path) -> list[_SummaryRow]:
+    """The ``_SummaryRow`` of every line of a written reports.csv.
+
+    A file that is not UTF-8 CSV, a missing column or field, a non-numeric
+    ratio or budget, or an unknown verdict is an ``AgfError``.
+    """
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in _SummaryRow._fields if c not in (reader.fieldnames or ())]
+            if missing:
+                raise AgfError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if any(row[c] is None for c in _SummaryRow._fields):
+                    raise AgfError(f"{where}: too few fields")
+                if row["verdict"] not in ("pass", "fail", "degenerate"):
+                    raise AgfError(f"{where}: unknown verdict {row['verdict']!r}")
+                rows.append(_SummaryRow(row["inequality_id"],
+                                        _number(float, row["ratio"], f"{where}: ratio"),
+                                        _number(float, row["budget"], f"{where}: budget"),
+                                        row["verdict"]))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise AgfError(f"{path}: {exc}") from None
+    return rows
+
+
 def summarize(reports) -> str:
+    """Per-inequality counts, worst finite ratio and budget of reports or ``_SummaryRow``s."""
     agg: dict[str, dict] = {}
     for r in reports:
         a = agg.setdefault(r.inequality_id, {"n": 0, "pass": 0, "fail": 0,
@@ -241,26 +281,9 @@ def cmd_report(args, cfg) -> int:
     if not os.path.exists(path):
         print(f"error: {path} not found", file=sys.stderr)
         return 2
-    import csv as _csv
-
-    nfail = 0
-    agg: dict[str, list] = {}
-    with open(path, newline="") as fh:
-        for row in _csv.DictReader(fh):
-            a = agg.setdefault(row["inequality_id"], [0, 0, 0.0])
-            a[0] += 1
-            if row["verdict"] == "fail":
-                a[1] += 1
-                nfail += 1
-            try:
-                a[2] = max(a[2], float(row["ratio"]))
-            except ValueError:
-                pass
-    print(f"{'inequality':32} {'n':>5} {'fail':>5} {'worst_ratio':>12}")
-    for iid in sorted(agg):
-        n, f, w = agg[iid]
-        print(f"{iid:32} {n:>5} {f:>5} {w:>12.6g}")
-    return 1 if nfail else 0
+    rows = _read_summary_rows(path)
+    print(summarize(rows), end="")
+    return 1 if any(r.verdict == "fail" for r in rows) else 0
 
 
 def main(argv=None) -> int:

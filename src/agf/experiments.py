@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import verify as V
 from .calibration import BudgetFile
-from .corpus import CorpusSpec, corpus_hash, generate_corpus
+from .corpus import CorpusSpec, generate_corpus
 from .errors import ParameterError
 from .geometry import build_gauge
 from .grid import GridFunction
@@ -60,7 +60,6 @@ EMBEDDING_POINTS = (
 )
 
 P_GRID = (1.0, 2.0)
-ORDERS_2D = ((0, 1), (1, 0))
 
 
 @dataclass
@@ -79,19 +78,13 @@ def _dyadic(top: float, count: int, start: int = 1) -> list[float]:
     return [top * 2.0**-k for k in range(start, start + count)]
 
 
-def _budget(budgets: BudgetFile | None, inequality_id: str) -> float:
-    if budgets is None:
-        return math.inf
-    return budgets.budget_for(inequality_id)
-
-
 def _max_extent(f: GridFunction) -> float:
     return max(f.extent)
 
 
 # --- per-experiment job builders --------------------------------------------------
 
-def _jobs_rearr_estimate(corpus, budgets, opts):
+def _jobs_rearr_estimate(corpus, opts):
     jobs = []
     for fid, f in corpus:
         def job(fid=fid, f=f):
@@ -101,21 +94,18 @@ def _jobs_rearr_estimate(corpus, budgets, opts):
                 sums = V.decrement_sums(f, p)
                 for d in _dyadic(_max_extent(f), 5):
                     res.reports.append(V.verify_isotropic_estimate(
-                        f, p, d, _budget(budgets, "rearr-estimate"), fid,
-                        curves=curves, sums=sums))
+                        f, p, d, fid, curves=curves, sums=sums))
             return res
         jobs.append(job)
     return jobs
 
 
-def _jobs_aniso_estimate(corpus, budgets, opts):
+def _jobs_aniso_estimate(corpus, opts):
     jobs = []
     for fid, f in corpus:
         if f.dims < 2:
             continue
-        orders = ORDERS_2D if f.dims == 2 else (tuple(range(f.dims)),
-                                                tuple(reversed(range(f.dims))))
-        for order in orders:
+        for order in (tuple(range(f.dims)), tuple(reversed(range(f.dims)))):
             def job(fid=fid, f=f, order=order):
                 res = ExperimentResult()
                 gauge = build_gauge(f, order)
@@ -123,9 +113,7 @@ def _jobs_aniso_estimate(corpus, budgets, opts):
                 if f.dims == 2:
                     hs = _dyadic(_max_extent(f), 6)
                     res.reports.extend(V.verify_anisotropic_estimate(
-                        f, 1.0, order, hs, gauge,
-                        _budget(budgets, "aniso-gauge-integral"),
-                        _budget(budgets, "aniso-gauge-sup"), fid))
+                        f, 1.0, order, hs, gauge, fid))
                 for i, t in enumerate(gauge.t_values):
                     for j in range(f.dims):
                         res.gauge_rows.append((
@@ -140,7 +128,7 @@ def _jobs_aniso_estimate(corpus, budgets, opts):
     return jobs
 
 
-def _jobs_embedding(corpus, budgets, opts):
+def _jobs_embedding(corpus, opts):
     from .norms import derive_params
     explore = bool(opts.get("explore_open_case"))
     jobs = []
@@ -154,18 +142,16 @@ def _jobs_embedding(corpus, budgets, opts):
                 curves = [modulus_curve(f, k, p) for k in range(f.dims)]
                 res.reports.extend(V.verify_embedding(
                     f, params, "lorentz",
-                    budget=_budget(budgets, "embedding-lorentz"),
                     function_id=fid, explore_open_case=explore, curves=curves))
                 res.reports.extend(V.verify_embedding(
                     f, params, "mixed", order=(0, 1),
-                    budget=_budget(budgets, "embedding-mixed"),
                     function_id=fid, explore_open_case=explore, curves=curves))
                 return res
             jobs.append(job)
     return jobs
 
 
-def _jobs_limit_sweep(corpus, budgets, opts):
+def _jobs_limit_sweep(corpus, opts):
     m_max = int(opts.get("m_max", 8))
     jobs = []
     for fid, f in corpus:
@@ -173,19 +159,16 @@ def _jobs_limit_sweep(corpus, budgets, opts):
             continue
         def job(fid=fid, f=f):
             res = ExperimentResult()
-            tw, tc, reps = V.limiting_sweep(
-                f, 1.0, (1.0, 1.0), m_max,
-                budget=_budget(budgets, "embedding-lorentz"), function_id=fid)
+            tw, tc, reps = V.limiting_sweep(f, 1.0, (1.0, 1.0), m_max, fid)
             res.traces.extend([tw, tc])
             res.reports.extend(reps)
-            res.reports.append(V.verify_lipschitz_endpoint(
-                f, 1.0, _budget(budgets, "lipschitz-endpoint"), fid))
+            res.reports.append(V.verify_lipschitz_endpoint(f, 1.0, fid))
             return res
         jobs.append(job)
     return jobs
 
 
-def _jobs_bbm(corpus, budgets, opts):
+def _jobs_bbm(corpus, opts):
     m_max = int(opts.get("m_max", 8))
     jobs = []
     for fid, f in corpus:
@@ -201,16 +184,13 @@ def _jobs_bbm(corpus, budgets, opts):
             def job_sobolev(fid=fid, f=f):
                 res = ExperimentResult()
                 for alpha in (0.5, 0.75):
-                    res.reports.extend(V.verify_fractional_sobolev(
-                        f, 1.0, alpha,
-                        _budget(budgets, "fractional-sobolev"),
-                        _budget(budgets, "fractional-sobolev-lorentz"), fid))
+                    res.reports.extend(V.verify_fractional_sobolev(f, 1.0, alpha, fid))
                 return res
             jobs.append(job_sobolev)
     return jobs
 
 
-def _jobs_modulus_lemmas(corpus, budgets, opts):
+def _jobs_modulus_lemmas(corpus, opts):
     jobs = []
     for fid, f in corpus:
         def job(fid=fid, f=f):
@@ -218,20 +198,16 @@ def _jobs_modulus_lemmas(corpus, budgets, opts):
             for p in P_GRID:
                 res.reports.extend(V.verify_modulus_lemmas(
                     f, p, _dyadic(_max_extent(f), 16), fid))
-                if f.dims == 1:
-                    res.reports.extend(V.verify_rearrangement_modulus(
-                        f, p, _dyadic(1.0, 8), function_id=fid))
-                else:
-                    orders = ORDERS_2D if f.dims == 2 else (
-                        tuple(range(f.dims)), tuple(reversed(range(f.dims))))
-                    res.reports.extend(V.verify_rearrangement_modulus(
-                        f, p, _dyadic(_max_extent(f), 8), orders, fid))
+                # the 1-D comparison lives on [0, 1], so its shifts are fractions of 1
+                top = 1.0 if f.dims == 1 else _max_extent(f)
+                res.reports.extend(V.verify_rearrangement_modulus(
+                    f, p, _dyadic(top, 8), function_id=fid))
             return res
         jobs.append(job)
     return jobs
 
 
-def _jobs_appendix(corpus, budgets, opts):
+def _jobs_appendix(corpus, opts):
     jobs = []
     for fid, f in corpus:
         if any(o != 0.0 for o in f.origin):
@@ -262,7 +238,12 @@ _JOB_BUILDERS = {
 
 def run_experiment(name: str, corpus, budgets: BudgetFile | None = None,
                    threads: int = 1, opts: dict | None = None) -> ExperimentResult:
-    """Run one experiment (or 'all') over a corpus; deterministic merge order."""
+    """Run one experiment (or 'all') over a corpus; deterministic merge order.
+
+    The verifiers give calibrated inequalities an infinite budget; with
+    ``budgets`` given, each such report gets its budget from that file once
+    the jobs are merged.
+    """
     opts = opts or {}
     names = EXPERIMENTS if name == "all" else (name,)
     for n in names:
@@ -270,7 +251,7 @@ def run_experiment(name: str, corpus, budgets: BudgetFile | None = None,
             raise ParameterError(f"unknown experiment {n!r}; known: {EXPERIMENTS + ('all',)}")
     jobs = []
     for n in names:
-        jobs.extend(_JOB_BUILDERS[n](corpus, budgets, opts))
+        jobs.extend(_JOB_BUILDERS[n](corpus, opts))
     result = ExperimentResult()
     if threads <= 1:
         for job in jobs:
@@ -279,8 +260,8 @@ def run_experiment(name: str, corpus, budgets: BudgetFile | None = None,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(lambda j: j(), jobs):
                 result.extend(part)
+    if budgets is not None:
+        result.reports = [rep if V.INEQUALITIES[rep.inequality_id] is not None
+                          else replace(rep, budget=budgets.budget_for(rep.inequality_id))
+                          for rep in result.reports]
     return result
-
-
-def calibration_corpus_hash(seed: int) -> str:
-    return corpus_hash(default_corpus(seed))

@@ -45,8 +45,8 @@ def shift_difference_norm(f: GridFunction, k: int, h: float, p: float,
     """Exact I_k(f; h)_p for arbitrary real h via the piecewise-linear identity."""
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
-    prof, c = _profile(f, k, p, curve)
-    return _interp_profile(prof, c, abs(h)) ** (1.0 / p)
+    curve = curve_for(f, k, p, curve)
+    return _interp_profile(curve.profile, curve.cell_size, abs(h)) ** (1.0 / p)
 
 
 def _interp_profile(prof: np.ndarray, c: float, h: float) -> float:
@@ -145,33 +145,29 @@ def check_curve(curve: ModulusCurve, k: int, p: float) -> None:
             f"curve was built for axis {curve.axis}, p={curve.p}; requested axis {k}, p={p}")
 
 
-def _profile(f: GridFunction, k: int, p: float,
-             curve: ModulusCurve | None) -> tuple[np.ndarray, float]:
-    """(shift-power profile, cell size) of axis k, read from ``curve`` when given."""
+def curve_for(f: GridFunction, k: int, p: float,
+              curve: ModulusCurve | None = None) -> ModulusCurve:
+    """``curve`` checked against axis k and p, or ``modulus_curve(f, k, p)`` when None."""
     if curve is None:
-        return _shift_power_profile(f, k, p), f.cell_sizes[k]
+        return modulus_curve(f, k, p)
     check_curve(curve, k, p)
-    return curve.profile, curve.cell_size
+    return curve
 
 
 def partial_modulus(f: GridFunction, k: int, delta: float, p: float,
                     curve: ModulusCurve | None = None) -> float:
     """omega_k(f; delta)_p = sup over |h| <= delta of I_k(f; h)_p, exact."""
-    if curve is not None:
-        check_curve(curve, k, p)
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
-    if delta == 0:
-        return 0.0
-    if curve is None:
-        curve = modulus_curve(f, k, p)
-    return float(curve(delta))
+    curve = curve_for(f, k, p, curve)
+    return float(curve(delta)) if delta > 0 else 0.0
 
 
 def shift_norm_integral(f: GridFunction, k: int, delta: float, p: float,
                         curve: ModulusCurve | None = None) -> float:
     """Exact ``integral_0^delta I_k(f; h)_p dh`` (closed form per linear piece)."""
-    prof, c = _profile(f, k, p, curve)
+    curve = curve_for(f, k, p, curve)
+    prof, c = curve.profile, curve.cell_size
     total = 0.0
     h0 = 0.0
     j = 0

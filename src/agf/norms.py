@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, PreconditionError, ResourceError
 from .grid import GridFunction
-from .moduli import ModulusCurve, check_curve, modulus_curve
+from .moduli import ModulusCurve, curve_for
 from .rearrange import is_mdec
 from .step import StepFunction
 
@@ -138,10 +138,7 @@ def lipschitz_seminorm(f: GridFunction, k: int, alpha: float, p: float,
     """sup over delta of omega_k(f; delta)_p / delta^alpha, with attained scale."""
     if not 0 < alpha <= 1:
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
-    if curve is None:
-        curve = modulus_curve(f, k, p)
-    else:
-        check_curve(curve, k, p)
+    curve = curve_for(f, k, p, curve)
     val, at, flag = _curve_weighted_sup(curve, alpha)
     return LipschitzValue(val, at, flag)
 
@@ -159,10 +156,7 @@ def besov_seminorm(f: GridFunction, k: int, alpha: float, theta: float, p: float
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     if theta < 1.0:
         raise ParameterError(f"theta must be >= 1, got {theta}")
-    if curve is None:
-        curve = modulus_curve(f, k, p)
-    else:
-        check_curve(curve, k, p)
+    curve = curve_for(f, k, p, curve)
     if math.isinf(theta):
         return _curve_weighted_sup(curve, alpha)[0]
     tp = theta / p

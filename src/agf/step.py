@@ -42,10 +42,6 @@ class StepFunction:
     def is_nonincreasing(self) -> bool:
         return bool(np.all(np.diff(self.values) <= 0)) if self.values.size else True
 
-    @property
-    def total_length(self) -> float:
-        return float(self.breakpoints[-1]) if self.breakpoints.size else 0.0
-
     def __call__(self, t):
         """Left-continuous evaluation; vectorized over t."""
         t = np.asarray(t, dtype=np.float64)

@@ -2,9 +2,12 @@
 
 Each verifier computes both sides of one inequality -- exactly where the step
 structure allows it, with documented quadrature otherwise -- and emits
-InequalityReports.  Constants fall in two tiers: hard constants that the
-underlying estimates state explicitly (asserted as-is), and empirical budgets
-frozen by a calibration run for the "there exists c" results.
+InequalityReports.  ``INEQUALITIES`` declares every report id once, with its
+tier: hard constants that the underlying estimates state explicitly (asserted
+as-is), and "there exists c" results whose budgets a calibration run freezes.
+The verifiers read every budget from that table: a hard id gets its constant,
+a calibrated id gets inf until ``run_experiment(..., budgets=)`` applies the
+budget file.
 """
 
 from __future__ import annotations
@@ -44,18 +47,28 @@ from .rearrange import decreasing_rearrangement, dyadic_decrement, is_mdec, iter
 
 REL_TOL = 1e-9
 
-# constants stated by the estimates themselves (not calibrated)
-HARD_BUDGETS = {
-    "rearrangement-modulus-1d": lambda n=1, **_: 2.0,
-    "rearrangement-modulus-axes": lambda n, **_: 3.0**n,
-    "modulus-mean-bound": lambda **_: 3.0,
-    "steklov-distance": lambda **_: 1.0,
-    "steklov-derivative": lambda **_: 1.0,
-    "box-operator-pointwise": lambda **_: 1.0,
-    "box-operator-weight": lambda n, a, **_: 2.0 ** (max(1.0, a) * n),
-    "axis-decrement": lambda mu, **_: 4.0 * mu,
-    "gauge-product": lambda **_: 1.0,
-    "embedding-dyadic-step": lambda **_: 1.0,
+# every report id -> the constant its estimate states, as a rule
+# (n, params) -> float of the dimension and the report's params; None marks a
+# "there exists c" result, whose budget is calibrated
+INEQUALITIES = {
+    "rearr-estimate": None,
+    "aniso-gauge-integral": None,
+    "aniso-gauge-sup": None,
+    "gauge-product": lambda n, prm: 1.0,
+    "embedding-lorentz": None,
+    "embedding-mixed": None,
+    "embedding-dyadic-step": lambda n, prm: 1.0,
+    "lipschitz-endpoint": None,
+    "fractional-sobolev": None,
+    "fractional-sobolev-lorentz": None,
+    "rearrangement-modulus-1d": lambda n, prm: 2.0,
+    "rearrangement-modulus-axes": lambda n, prm: 3.0**n,
+    "modulus-mean-bound": lambda n, prm: 3.0,
+    "steklov-distance": lambda n, prm: 1.0,
+    "steklov-derivative": lambda n, prm: 1.0,
+    "box-operator-pointwise": lambda n, prm: 1.0,
+    "box-operator-weight": lambda n, prm: 2.0 ** (max(1.0, prm["a"]) * n),
+    "axis-decrement": lambda n, prm: 4.0 * prm["mu"],
 }
 
 
@@ -111,9 +124,21 @@ class LimitTrace:
                    float(pv), float(v), float(self.target), float(g))
 
 
-def _degenerate(inequality_id, function_id, params, budget=math.inf, note="zero input"):
-    return InequalityReport(inequality_id, function_id, dict(params), 0.0, 0.0,
-                            budget, truncation=note, degenerate=True)
+def _report(inequality_id, function_id, n, params, lhs, rhs, truncation="",
+            degenerate=False) -> InequalityReport:
+    """A report on an n-dimensional input, its budget read from ``INEQUALITIES``.
+
+    A hard id gets its stated constant, a calibrated id gets inf.
+    """
+    rule = INEQUALITIES[inequality_id]
+    budget = math.inf if rule is None else rule(n, params)
+    return InequalityReport(inequality_id, function_id, params, lhs, rhs, budget,
+                            truncation, degenerate)
+
+
+def _degenerate(inequality_id, function_id, n, params, note="zero input"):
+    return _report(inequality_id, function_id, n, dict(params), 0.0, 0.0, note,
+                   degenerate=True)
 
 
 def _axis_curves(f: GridFunction, p: float, curves) -> list[ModulusCurve | None]:
@@ -162,7 +187,6 @@ def decrement_sums(f: GridFunction, p: float) -> DecrementSums:
 
 
 def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
-                              budget: float = math.inf,
                               function_id: str = "",
                               curves=None, sums: DecrementSums | None = None) -> InequalityReport:
     """Tail integral of the rearrangement decrement against the isotropic modulus.
@@ -186,7 +210,7 @@ def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
         raise PreconditionError(f"decrement sums were built for p={sums.p}; requested p={p}")
     params = {"p": p, "delta": delta, "isotropic_modulus": "max-over-axes"}
     if not sums.inner:
-        return _degenerate("rearr-estimate", function_id, params, budget)
+        return _degenerate("rearr-estimate", function_id, n, params)
     left, bp = sums.left, sums.right
     lo_cut = delta**n
     e = p / n
@@ -199,15 +223,13 @@ def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
     lhs += sums.tail * tail_lo ** (-e) / e
     omega = max(partial_modulus(f, k, delta, p, curve=curves[k]) for k in range(n))
     rhs = (omega / delta) ** p
-    return InequalityReport("rearr-estimate", function_id, params, lhs, rhs, budget)
+    return _report("rearr-estimate", function_id, n, params, lhs, rhs)
 
 
 # --- anisotropic gauge estimates --------------------------------------------------
 
 def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
                                 gauge: AnisotropicGauge | None = None,
-                                budget_integral: float = math.inf,
-                                budget_sup: float = math.inf,
                                 function_id: str = "") -> list[InequalityReport]:
     """Gauge-weighted decrement bounds, one report pair per (axis, shift).
 
@@ -241,18 +263,14 @@ def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
         for h in h_values:
             params = {"p": p, "order": list(order), "axis": j, "h": float(h)}
             if gauge.degenerate or tv.size == 0:
-                reports.append(_degenerate("aniso-gauge-integral", function_id, params,
-                                           budget_integral, note="degenerate gauge"))
-                reports.append(_degenerate("aniso-gauge-sup", function_id, params,
-                                           budget_sup, note="degenerate gauge"))
+                for iid in ("aniso-gauge-integral", "aniso-gauge-sup"):
+                    reports.append(_degenerate(iid, function_id, n, params, "degenerate gauge"))
                 continue
             mask = gauge.omega_mask(j, h)
             omega = float(curves[j](h))
             if not np.any(mask):
-                reports.append(_degenerate("aniso-gauge-integral", function_id, params,
-                                           budget_integral, note="empty domain"))
-                reports.append(_degenerate("aniso-gauge-sup", function_id, params,
-                                           budget_sup, note="empty domain"))
+                for iid in ("aniso-gauge-integral", "aniso-gauge-sup"):
+                    reports.append(_degenerate(iid, function_id, n, params, "empty domain"))
                 continue
             lhs_int = 0.0
             lhs_sup = 0.0
@@ -260,14 +278,10 @@ def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
                 u = gauge.u[i, j]
                 lhs_int += window[i] / u**p
                 lhs_sup = max(lhs_sup, peak[i] / u)
-            reports.append(InequalityReport(
-                "aniso-gauge-integral", function_id, params,
-                lhs_int, (omega / h) ** p, budget_integral,
-                truncation="lattice sum"))
-            reports.append(InequalityReport(
-                "aniso-gauge-sup", function_id, params,
-                lhs_sup, omega / h, budget_sup,
-                truncation="lattice sup"))
+            reports.append(_report("aniso-gauge-integral", function_id, n, params,
+                                   lhs_int, (omega / h) ** p, "lattice sum"))
+            reports.append(_report("aniso-gauge-sup", function_id, n, params,
+                                   lhs_sup, omega / h, "lattice sup"))
     return reports
 
 
@@ -281,16 +295,15 @@ def verify_gauge_product(f: GridFunction, order,
     order = tuple(int(k) for k in order)
     if gauge is None:
         gauge = build_gauge(f, order)
+    n = f.dims
     params = {"order": list(order)}
     if gauge.degenerate or gauge.t_values.size == 0:
-        return [_degenerate("gauge-product", function_id, params, 1.0,
-                            note="degenerate gauge")]
+        return [_degenerate("gauge-product", function_id, n, params, "degenerate gauge")]
     reports = []
     for i, t in enumerate(gauge.t_values):
         prod = float(np.prod(gauge.u[i]))
-        reports.append(InequalityReport(
-            "gauge-product", function_id, {**params, "t": float(t)},
-            prod, float(t), 1.0))
+        reports.append(_report("gauge-product", function_id, n,
+                               {**params, "t": float(t)}, prod, float(t)))
     return reports
 
 
@@ -314,8 +327,7 @@ def _besov_product(f: GridFunction, params: BesovParams, with_factors: bool, cur
 
 
 def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorentz",
-                     order=None, budget: float = math.inf,
-                     function_id: str = "",
+                     order=None, function_id: str = "",
                      explore_open_case: bool = False,
                      curves=None) -> list[InequalityReport]:
     """Lorentz-norm embedding against the weighted product of axis Besov seminorms.
@@ -344,7 +356,7 @@ def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorent
     if order is not None:
         rep_params["order"] = [int(k) for k in order]
     if f.support_cells == 0:
-        return [_degenerate(ineq_id, function_id, rep_params, budget)]
+        return [_degenerate(ineq_id, function_id, params.n, rep_params)]
     sf = decreasing_rearrangement(f)
     if flavor == "lorentz":
         lhs = lorentz_norm(sf, q, theta)
@@ -357,9 +369,8 @@ def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorent
     if math.isinf(rhs):
         trunc = "unbounded seminorm on the right"
     budget_flag = "open-case, no verdict" if any(t < p for t in params.theta_js) else ""
-    rep = InequalityReport(ineq_id, function_id, {**rep_params, "seminorms": semis},
-                           lhs, rhs, budget,
-                           truncation=trunc or budget_flag)
+    rep = _report(ineq_id, function_id, params.n, {**rep_params, "seminorms": semis},
+                  lhs, rhs, trunc or budget_flag)
     out = [rep]
     if flavor == "lorentz":
         phi = dyadic_decrement(sf)
@@ -368,13 +379,12 @@ def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorent
         else:
             j_norm = phi.power_integral(theta / q, theta) ** (1.0 / theta)
         c = 1.0 / (1.0 - 2.0 ** (-1.0 / q))
-        out.append(InequalityReport("embedding-dyadic-step", function_id,
-                                    {"q": q, "theta": theta},
-                                    lhs, c * j_norm, 1.0))
+        out.append(_report("embedding-dyadic-step", function_id, params.n,
+                           {"q": q, "theta": theta}, lhs, c * j_norm))
     return out
 
 
-def verify_lipschitz_endpoint(f: GridFunction, p: float, budget: float = math.inf,
+def verify_lipschitz_endpoint(f: GridFunction, p: float,
                               function_id: str = "") -> InequalityReport:
     """Endpoint Lorentz bound by the geometric mean of axis Lipschitz seminorms.
 
@@ -387,16 +397,16 @@ def verify_lipschitz_endpoint(f: GridFunction, p: float, budget: float = math.in
     if not lp.admissible or not math.isfinite(lp.q_star):
         raise ParameterError(f"endpoint requires p < n, got p={p}, n={n}")
     if f.support_cells == 0:
-        return _degenerate("lipschitz-endpoint", function_id, params, budget)
+        return _degenerate("lipschitz-endpoint", function_id, n, params)
     lhs = lorentz_norm(decreasing_rearrangement(f), lp.q_star, lp.s)
     rhs = 1.0
     for k in range(n):
         rhs *= lipschitz_seminorm(f, k, 1.0, p).value ** (lp.alpha / (n * 1.0))
-    return InequalityReport("lipschitz-endpoint", function_id, params, lhs, rhs, budget)
+    return _report("lipschitz-endpoint", function_id, n, params, lhs, rhs)
 
 
 def limiting_sweep(f: GridFunction, p: float, theta_js, m_max: int,
-                   budget: float = math.inf, function_id: str = ""):
+                   function_id: str = ""):
     """Embedding ratio along axis smoothness 1 - 2^(-m), with and without weights.
 
     Returns (trace_with, trace_control, reports).  Trace values are RHS/LHS:
@@ -424,7 +434,7 @@ def limiting_sweep(f: GridFunction, p: float, theta_js, m_max: int,
             break
         if curves is None:
             curves = [modulus_curve(f, j, p) for j in range(n)]
-        reps = verify_embedding(f, params, flavor="lorentz", budget=budget,
+        reps = verify_embedding(f, params, flavor="lorentz",
                                 function_id=function_id, curves=curves)
         rep = reps[0]
         reports.extend(reps)
@@ -508,8 +518,6 @@ def verify_gagliardo_limit(f: GridFunction, p: float, m_max: int,
 
 
 def verify_fractional_sobolev(f: GridFunction, p: float, alpha: float,
-                              budget: float = math.inf,
-                              budget_lorentz: float = math.inf,
                               function_id: str = "") -> list[InequalityReport]:
     """Critical-exponent norm bounds by the weighted Gagliardo integral.
 
@@ -526,27 +534,20 @@ def verify_fractional_sobolev(f: GridFunction, p: float, alpha: float,
         raise ParameterError(f"need p < n/alpha, got p={p}, n/alpha={n / alpha}")
     p_star = n * p / (n - alpha * p)
     params = {"p": p, "alpha": alpha, "p_star": p_star}
+    ids = ("fractional-sobolev", "fractional-sobolev-lorentz")
     if f.support_cells == 0:
-        return [_degenerate("fractional-sobolev", function_id, params, budget),
-                _degenerate("fractional-sobolev-lorentz", function_id, params, budget_lorentz)]
+        return [_degenerate(iid, function_id, n, params) for iid in ids]
     try:
         gagliardo = gagliardo_seminorm(f, alpha, p)
     except ResourceError as exc:
-        note = f"not computed: {exc}"
-        return [_degenerate("fractional-sobolev", function_id, params, budget, note),
-                _degenerate("fractional-sobolev-lorentz", function_id, params,
-                            budget_lorentz, note)]
+        return [_degenerate(iid, function_id, n, params, f"not computed: {exc}")
+                for iid in ids]
     sf = decreasing_rearrangement(f)
     rhs = (1.0 - alpha) / (n - alpha * p) ** (p - 1.0) * gagliardo
     lhs = lorentz_norm(sf, p_star, p_star) ** p
     lhs_lorentz = lorentz_norm(sf, p_star, p) ** p
-    return [
-        InequalityReport("fractional-sobolev", function_id, params, lhs, rhs, budget,
-                         truncation="midpoint double sum"),
-        InequalityReport("fractional-sobolev-lorentz", function_id, params,
-                         lhs_lorentz, rhs, budget_lorentz,
-                         truncation="midpoint double sum"),
-    ]
+    return [_report(iid, function_id, n, params, left, rhs, "midpoint double sum")
+            for iid, left in zip(ids, (lhs, lhs_lorentz))]
 
 
 # --- rearrangement vs modulus -------------------------------------------------------
@@ -583,16 +584,15 @@ def verify_rearrangement_modulus(f: GridFunction, p: float, deltas, orders=None,
                 raise ParameterError(f"the interval comparison needs delta <= 1/2, got {delta}")
             params = {"p": p, "delta": float(delta)}
             if zero:
-                reports.append(_degenerate("rearrangement-modulus-1d", function_id, params, 2.0))
+                reports.append(_degenerate("rearrangement-modulus-1d", function_id, n, params))
                 continue
             lhs = interval_modulus_1d(gstar, delta, p)
             rhs = interval_modulus_1d(g, delta, p)
-            reports.append(InequalityReport("rearrangement-modulus-1d", function_id,
-                                            params, lhs, rhs, 2.0))
+            reports.append(_report("rearrangement-modulus-1d", function_id, n,
+                                   params, lhs, rhs))
         return reports
     if orders is None:
         orders = [tuple(range(n)), tuple(reversed(range(n)))]
-    budget = 3.0**n
     # each curve is built once and shared by every delta (and, for f, every order)
     f_curves = [None if zero else modulus_curve(f, k, p) for k in range(n)]
     for order in orders:
@@ -603,12 +603,12 @@ def verify_rearrangement_modulus(f: GridFunction, p: float, deltas, orders=None,
                 params = {"p": p, "delta": float(delta), "axis": k, "order": list(order)}
                 if zero:
                     reports.append(_degenerate("rearrangement-modulus-axes", function_id,
-                                               params, budget))
+                                               n, params))
                     continue
                 lhs = partial_modulus(rf, k, delta, p, curve=rf_curve)
                 rhs = partial_modulus(f, k, delta, p, curve=f_curves[k])
-                reports.append(InequalityReport("rearrangement-modulus-axes", function_id,
-                                                params, lhs, rhs, budget))
+                reports.append(_report("rearrangement-modulus-axes", function_id, n,
+                                       params, lhs, rhs))
     return reports
 
 
@@ -627,27 +627,27 @@ def verify_modulus_lemmas(f: GridFunction, p: float, deltas,
     reports: list[InequalityReport] = []
     if f.halfspace:
         f = GridFunction(f.values, f.cell_sizes, f.origin, halfspace=False)
+    n = f.dims
     zero = f.support_cells == 0
-    for k in range(f.dims):
+    for k in range(n):
         # one curve per axis carries the profile every delta reads
         curve = None if zero else modulus_curve(f, k, p)
         for d in deltas:
             params = {"p": p, "axis": k, "delta": float(d)}
             if zero:
-                for iid, b in (("modulus-mean-bound", 3.0), ("steklov-distance", 1.0),
-                               ("steklov-derivative", 1.0)):
-                    reports.append(_degenerate(iid, function_id, params, b))
+                for iid in ("modulus-mean-bound", "steklov-distance", "steklov-derivative"):
+                    reports.append(_degenerate(iid, function_id, n, params))
                 continue
             omega = partial_modulus(f, k, d, p, curve=curve)
-            reports.append(InequalityReport(
-                "modulus-mean-bound", function_id, params,
-                omega, shift_norm_integral(f, k, d, p, curve=curve) / d, 3.0))
-            reports.append(InequalityReport(
-                "steklov-distance", function_id, params,
-                steklov_distance(f, d, k, p), omega, 1.0))
-            reports.append(InequalityReport(
-                "steklov-derivative", function_id, params,
-                steklov_derivative_norm(f, d, k, p, curve=curve), omega / d, 1.0))
+            reports.append(_report(
+                "modulus-mean-bound", function_id, n, params,
+                omega, shift_norm_integral(f, k, d, p, curve=curve) / d))
+            reports.append(_report(
+                "steklov-distance", function_id, n, params,
+                steklov_distance(f, d, k, p), omega))
+            reports.append(_report(
+                "steklov-derivative", function_id, n, params,
+                steklov_derivative_norm(f, d, k, p, curve=curve), omega / d))
     return reports
 
 
@@ -779,21 +779,18 @@ def verify_box_operator(phi: GridFunction, rs, a_values,
         tfield = box_average_field(phi)
         ratio = float(np.max(np.where(tfield.values > 0,
                                       phi.values / np.maximum(tfield.values, 1e-300), 0.0)))
-        reports.append(InequalityReport("box-operator-pointwise", function_id, {},
-                                        ratio, 1.0, 1.0))
+        reports.append(_report("box-operator-pointwise", function_id, n, {}, ratio, 1.0))
     panels = None if zero else box_panels(phi)
     for r in rs:
         for a in a_values:
             params = {"r": float(r), "a": float(a)}
-            budget = 2.0 ** (max(1.0, a) * n)
             if zero:
-                reports.append(_degenerate("box-operator-weight", function_id, params, budget))
+                reports.append(_degenerate("box-operator-weight", function_id, n, params))
                 continue
             lhs = box_operator_weighted_integral(phi, r, a, panels=panels)
             rhs_base = _orthant_weight_integral(phi.with_values(phi.values**r), a)
-            reports.append(InequalityReport("box-operator-weight", function_id, params,
-                                            lhs, rhs_base, budget,
-                                            truncation="panel quadrature"))
+            reports.append(_report("box-operator-weight", function_id, n, params,
+                                   lhs, rhs_base, "panel quadrature"))
     return reports
 
 
@@ -849,17 +846,17 @@ def verify_axis_decrement(f: GridFunction, p: float, mus, h_values,
     the exact column integral is at most 4 mu omega_k(f; h)_p / h.
     """
     reports: list[InequalityReport] = []
+    n = f.dims
     zero = f.support_cells == 0
-    for k in range(f.dims):
+    for k in range(n):
         curve = None if zero else modulus_curve(f, k, p)
         for mu in mus:
             for h in h_values:
                 params = {"p": p, "axis": k, "mu": float(mu), "h": float(h)}
                 if zero:
-                    reports.append(_degenerate("axis-decrement", function_id, params, 4.0 * mu))
+                    reports.append(_degenerate("axis-decrement", function_id, n, params))
                     continue
                 lhs = axis_decrement_integral(f, k, mu, h, p)
                 rhs = float(curve(h)) / h
-                reports.append(InequalityReport("axis-decrement", function_id, params,
-                                                lhs, rhs, 4.0 * mu))
+                reports.append(_report("axis-decrement", function_id, n, params, lhs, rhs))
     return reports

@@ -128,6 +128,57 @@ def test_report_subcommand(tmp_path):
     assert main(["report", "--out", str(out)]) == 0
 
 
+def test_report_prints_the_run_summary(tmp_path, budget_file, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "all", "--out", str(out), "--budget", budget_file]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "summary.txt").read_text()
+
+
+_HEADER = "inequality_id,function_id,params_json,lhs,rhs,ratio,budget,verdict,truncation\n"
+_ROW = 'gauge-product,f,"{{}}",1.0,2.0,{ratio},{budget},{verdict},\n'
+
+
+def _write_reports(out, header=_HEADER, ratio="0.5", budget="1.0", verdict="pass"):
+    out.mkdir()
+    (out / "reports.csv").write_text(
+        header + _ROW.format(ratio=ratio, budget=budget, verdict=verdict))
+
+
+def test_report_exit_status_follows_the_verdicts(tmp_path, capsys):
+    _write_reports(tmp_path / "ok")
+    assert main(["report", "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    _write_reports(tmp_path / "bad", ratio="3.0", verdict="fail")
+    assert main(["report", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().out.splitlines()[1].split()[:4] == ["gauge-product", "1", "0", "1"]
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("header", _HEADER.replace(",verdict", ""), "verdict"),
+    ("header", "a,b,c\n", "inequality_id"),
+    ("ratio", "n/a", "'n/a'"),
+    ("budget", "", "budget"),
+    ("verdict", "maybe", "'maybe'"),
+])
+def test_report_malformed_reports_exit_2(tmp_path, capsys, field, value, needle):
+    _write_reports(tmp_path / "out", **{field: value})
+    assert main(["report", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+
+
+def test_report_short_row_or_binary_file_exits_2(tmp_path, capsys):
+    (tmp_path / "short").mkdir()
+    (tmp_path / "short" / "reports.csv").write_text(_HEADER + "gauge-product,f\n")
+    (tmp_path / "binary").mkdir()
+    (tmp_path / "binary" / "reports.csv").write_bytes(b"\xff\xfe\x00bad")
+    for name in ("short", "binary"):
+        assert main(["report", "--out", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_supplies_defaults(tmp_path, budget_file):
     cfg = tmp_path / "cfg"
     cfg.write_text(f"budget = {budget_file}\nthreads = 2\nm-max = 3\n")

@@ -106,12 +106,12 @@ def test_embedding_reports_and_dyadic_step():
     rng = np.random.default_rng(73)
     f = make_grid_function(rng.uniform(0, 2, size=(6, 6)), (0.4, 0.4))
     params = derive_params(1.0, (0.5, 0.5), (1.0, 1.0), 2)
-    reps = verify_embedding(f, params, flavor="lorentz", budget=math.inf)
+    reps = verify_embedding(f, params, flavor="lorentz")
     assert [r.inequality_id for r in reps] == ["embedding-lorentz", "embedding-dyadic-step"]
     step = reps[1]
     assert step.verdict == "pass"  # exact Minkowski-type step, hard constant
     # dilation invariance of the main ratio
-    reps3 = verify_embedding(_scaled(f, 3.0), params, flavor="lorentz", budget=math.inf)
+    reps3 = verify_embedding(_scaled(f, 3.0), params, flavor="lorentz")
     assert reps3[0].ratio == pytest.approx(reps[0].ratio, rel=1e-11)
     # mixed flavor requires an order
     with pytest.raises(ParameterError):
