@@ -105,15 +105,17 @@ def _jobs_aniso_estimate(corpus, opts):
     for fid, f in corpus:
         if f.dims < 2:
             continue
-        for order in (tuple(range(f.dims)), tuple(reversed(range(f.dims)))):
-            def job(fid=fid, f=f, order=order):
-                res = ExperimentResult()
+        def job(fid=fid, f=f):
+            res = ExperimentResult()
+            # both orders share the p = 1 curves of f
+            curves = [modulus_curve(f, k, 1.0) for k in range(f.dims)] if f.dims == 2 else None
+            for order in (tuple(range(f.dims)), tuple(reversed(range(f.dims)))):
                 gauge = build_gauge(f, order)
                 res.reports.extend(V.verify_gauge_product(f, order, gauge, fid))
                 if f.dims == 2:
                     hs = _dyadic(_max_extent(f), 6)
                     res.reports.extend(V.verify_anisotropic_estimate(
-                        f, 1.0, order, hs, gauge, fid))
+                        f, 1.0, order, hs, gauge, fid, curves=curves))
                 for i, t in enumerate(gauge.t_values):
                     for j in range(f.dims):
                         res.gauge_rows.append((
@@ -123,8 +125,8 @@ def _jobs_aniso_estimate(corpus, opts):
                             float(gauge.projection_counts[i, j] * gauge.cell_volume
                                   / f.cell_sizes[j]),
                         ))
-                return res
-            jobs.append(job)
+            return res
+        jobs.append(job)
     return jobs
 
 

@@ -5,6 +5,11 @@ All set arithmetic is exact integer cell counting; tie-breaking is
 lexicographic everywhere, so the whole pipeline is a pure function of its
 input.
 
+The gauge puts every dyadic shell through each minimal-projection step at
+once: one bincount and one lexsort per axis over all (lattice point, cell)
+pairs, O(P log P) for P = total shell size, instead of one chain of re-sorted
+cell sets per lattice point.
+
 The box average T phi(x) over [x/2, x] is separable: T phi(x) =
 sum_c phi_c prod_k W_k(x_k, c_k), where the 1-D box matrix W_k(x, c) is the
 overlap of cell c with [x/2, x] divided by x/2.  On a tensor grid with m_k
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -225,12 +231,35 @@ class AnisotropicGauge:
     shell_counts: np.ndarray     # (m, n+1) cells of G_{t,j}, j = 0..n
     projection_counts: np.ndarray  # (m, n)
     cell_volume: float
-    cellsets: tuple = field(repr=False, default=())
     degenerate: bool = False
+    # what cellsets rebuilds the chains from: (shape, cell_sizes, strict order,
+    # the lattice multiples k of t, and per cell of the shells strict[k/2:k]
+    # laid end to end, the number of chain steps it survives)
+    levels: tuple | None = field(repr=False, compare=False, default=None)
 
     def omega_mask(self, j: int, h: float) -> np.ndarray:
         """Lattice points t with u_j(t) >= h (the integration domain)."""
         return self.u[:, j] >= h
+
+    @cached_property
+    def cellsets(self) -> tuple:
+        """Per lattice point, the chain G_t = G_{t,0} > ... > G_{t,n} as CellSets.
+
+        Built on first read from the chain depth of each shell cell; these are
+        the sets ``minimal_projection_chain`` returns for the same shell.
+        """
+        if self.levels is None:
+            return ()
+        shape, sizes, strict, ks, depth = self.levels
+        out = []
+        start = 0
+        for k in ks:
+            flat, d = strict[k // 2 : k], depth[start : start + k // 2]
+            start += k // 2
+            out.append(tuple(
+                CellSet(np.stack(np.unravel_index(flat[d >= j], shape), axis=1), shape, sizes)
+                for j in range(len(shape) + 1)))
+        return tuple(out)
 
 
 def default_t_grid(f: GridFunction, max_points: int = 64) -> np.ndarray:
@@ -251,6 +280,17 @@ def build_gauge(f: GridFunction, order, t_values=None) -> AnisotropicGauge:
     shell G_t is the slab of cells between the t/2- and t-prefixes of the
     strict order; the minimal-projection chain supplies G_{t,j}, and
     mu_j(t) = 2^((n^2 - 1)/n) * projection measure of G_{t,j}.
+
+    All shells go through each chain step together, as one array of
+    (lattice point, cell) pairs: one bincount gives the section count of every
+    (lattice point, column), one lexsort ranks the columns of every lattice
+    point by (count descending, column code ascending), as
+    ``minimal_projection_chain`` does, and a column is kept while the cells
+    ranked before it stay below half the point's current count.  Per axis this
+    costs O(P log P) for P = total shell size (at most m K/2 for m lattice
+    points and K cells; m <= 64 on the default grid), plus one bincount over m
+    times the column count.  The result equals one ``minimal_projection_chain``
+    per shell; ``cellsets`` rebuilds those chains only when read.
     """
     order = tuple(int(k) for k in order)
     g = strictify(iterated_rearrangement(f, order))
@@ -260,18 +300,11 @@ def build_gauge(f: GridFunction, order, t_values=None) -> AnisotropicGauge:
     if supp < 2:
         return AnisotropicGauge(order, np.empty(0), np.empty((0, n)), np.empty((0, n)),
                                 np.empty((0, n + 1), dtype=np.int64),
-                                np.empty((0, n), dtype=np.int64), v, (), degenerate=True)
+                                np.empty((0, n), dtype=np.int64), v, degenerate=True)
     if t_values is None:
         t_values = default_t_grid(g)
     t_values = np.asarray(t_values, dtype=np.float64)
-    so = strict_order(g)
-    scale = 2.0 ** ((n * n - 1) / n)
-
-    mu = np.empty((t_values.size, n))
-    uu = np.empty((t_values.size, n))
-    shells = np.empty((t_values.size, n + 1), dtype=np.int64)
-    projs = np.empty((t_values.size, n), dtype=np.int64)
-    cellsets = []
+    ks = np.empty(t_values.size, dtype=np.int64)
     for m, t in enumerate(t_values):
         k = t / v
         ki = round(k)
@@ -279,20 +312,48 @@ def build_gauge(f: GridFunction, order, t_values=None) -> AnisotropicGauge:
             raise ParameterError(f"t={t} must be a positive even lattice multiple of {v}")
         if ki > supp:
             raise ParameterError(f"t={t} exceeds the support measure {supp * v}")
-        flat = so[ki // 2 : ki]
-        idx = np.stack(np.unravel_index(flat, g.shape), axis=1)
-        shell = CellSet(idx, g.shape, g.cell_sizes)
-        chain, steps = minimal_projection_chain(shell)
-        cellsets.append(tuple(chain))
-        shells[m] = [cs.count for cs in chain]
-        for j, step in enumerate(steps):
-            pm = step.projection_count * v / g.cell_sizes[j]
-            if pm <= 0:
-                raise AssertionError("empty projection of a nonempty shell")
-            mu[m, j] = scale * pm
-            projs[m, j] = step.projection_count
-        uu[m] = t / mu[m]
-    return AnisotropicGauge(order, t_values, mu, uu, shells, projs, v, tuple(cellsets))
+        ks[m] = ki
+    so = strict_order(g)
+    scale = 2.0 ** ((n * n - 1) / n)
+    nt = ks.size
+
+    # shell m is so[k/2 : k]: lay all shells out as (row m, flat cell) pairs
+    half = ks // 2
+    row = np.repeat(np.arange(nt), half)
+    flat = so[np.arange(row.size) + np.repeat(half - (np.cumsum(half) - half), half)]
+    alive = np.arange(row.size)            # pairs still in the chain
+    depth = np.zeros(row.size, dtype=np.int8)
+
+    mu = np.empty((nt, n))
+    shells = np.empty((nt, n + 1), dtype=np.int64)
+    projs = np.empty((nt, n), dtype=np.int64)
+    shells[:, 0] = half
+    for j in range(n):
+        stride = math.prod(g.shape[j + 1:])
+        ncol = g.values.size // g.shape[j]
+        # (row, column) code of each live pair; column codes are C-order ravels
+        c = flat[alive]
+        key = row[alive] * ncol + (c // (g.shape[j] * stride)) * stride + c % stride
+        counts = np.bincount(key, minlength=nt * ncol)
+        cols = np.flatnonzero(counts)
+        crow, ccount = cols // ncol, counts[cols]
+        rank = np.lexsort((cols, -ccount, crow))
+        cols, crow, ccount = cols[rank], crow[rank], ccount[rank]
+        # keep a column while the cells ranked before it in its row are
+        # below half the row: searchsorted(cum, tot / 2, side="left") + 1 columns
+        tot = shells[:, j]
+        before = np.cumsum(ccount) - ccount - (np.cumsum(tot) - tot)[crow]
+        pick = 2 * before < tot[crow]
+        chosen = np.zeros(counts.size, dtype=bool)
+        chosen[cols[pick]] = True
+        alive = alive[chosen[key]]
+        depth[alive] += 1
+        shells[:, j + 1] = np.bincount(row[alive], minlength=nt)
+        projs[:, j] = np.bincount(crow[pick], minlength=nt)
+        mu[:, j] = scale * (projs[:, j] * v / g.cell_sizes[j])
+    uu = t_values[:, None] / mu
+    return AnisotropicGauge(order, t_values, mu, uu, shells, projs, v,
+                            levels=(g.shape, g.cell_sizes, so, ks, depth))
 
 
 # --- dyadic box averaging --------------------------------------------------------

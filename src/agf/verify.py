@@ -230,7 +230,8 @@ def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
 
 def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
                                 gauge: AnisotropicGauge | None = None,
-                                function_id: str = "") -> list[InequalityReport]:
+                                function_id: str = "",
+                                curves=None) -> list[InequalityReport]:
     """Gauge-weighted decrement bounds, one report pair per (axis, shift).
 
     With phi(t) = f*(t) - f*(2t) and the per-axis gauge u_j(t), checks on the
@@ -241,7 +242,8 @@ def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
     * sup form:       max over t in Omega of t^(1/p) phi(t) / u_j(t)
       <=  c omega_j(f; h)_p / h
 
-    The moduli on the right are those of the original f.
+    The moduli on the right are those of the original f; ``curves`` holds
+    ``modulus_curve(f, j, p)`` per axis when the caller has them.
     """
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
@@ -253,7 +255,8 @@ def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
     n = f.dims
     phi = dyadic_decrement(decreasing_rearrangement(f))
     reports: list[InequalityReport] = []
-    curves = [modulus_curve(f, j, p) for j in range(n)]
+    curves = [modulus_curve(f, j, p) if c is None else c
+              for j, c in enumerate(_axis_curves(f, p, curves))]
     tv = gauge.t_values
     t_prev = np.concatenate([[0.0], tv[:-1]]) if tv.size else tv
     # the terms of lattice point i, shared by every (axis, h)

@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 from agf import (
+    AnisotropicGauge,
     CellSet,
     ParameterError,
     PreconditionError,
     box_average,
     box_average_field,
     build_gauge,
+    default_corpus,
     loomis_whitney_check,
     make_grid_function,
     minimal_projection_chain,
     projection_profile,
     superlevel_filling,
 )
-from agf.geometry import ChainStep, cumulative_integral
-from agf.rearrange import iterated_rearrangement, strictify
+from agf.geometry import ChainStep, cumulative_integral, default_t_grid
+from agf.rearrange import iterated_rearrangement, strict_order, strictify
 
 
 def _mask_cellset(mask, cell_sizes):
@@ -199,6 +201,133 @@ def test_gauge_degenerate_and_validation():
         build_gauge(f, (0, 1), t_values=[3.0])  # odd lattice multiple
     with pytest.raises(ParameterError):
         build_gauge(f, (0, 1), t_values=[6.0])  # beyond the support
+
+
+def _chain_gauge(f, order, t_values=None):
+    """Reference gauge: one minimal_projection_chain per lattice point."""
+    order = tuple(int(k) for k in order)
+    g = strictify(iterated_rearrangement(f, order))
+    n = g.dims
+    v = g.cell_volume
+    if t_values is None:
+        t_values = default_t_grid(g)
+    t_values = np.asarray(t_values, dtype=np.float64)
+    so = strict_order(g)
+    scale = 2.0 ** ((n * n - 1) / n)
+    mu = np.empty((t_values.size, n))
+    uu = np.empty((t_values.size, n))
+    shells = np.empty((t_values.size, n + 1), dtype=np.int64)
+    projs = np.empty((t_values.size, n), dtype=np.int64)
+    cellsets = []
+    for m, t in enumerate(t_values):
+        ki = round(t / v)
+        flat = so[ki // 2 : ki]
+        idx = np.stack(np.unravel_index(flat, g.shape), axis=1)
+        chain, steps = minimal_projection_chain(CellSet(idx, g.shape, g.cell_sizes))
+        cellsets.append(tuple(chain))
+        shells[m] = [cs.count for cs in chain]
+        for j, step in enumerate(steps):
+            pm = step.projection_count * v / g.cell_sizes[j]
+            mu[m, j] = scale * pm
+            projs[m, j] = step.projection_count
+        uu[m] = t / mu[m]
+    return AnisotropicGauge(order, t_values, mu, uu, shells, projs, v), tuple(cellsets)
+
+
+def _assert_gauge_matches_chains(f, order, t_values=None):
+    got = build_gauge(f, order, t_values)
+    want, chains = _chain_gauge(f, order, t_values)
+    assert not got.degenerate
+    assert got.t_values.tobytes() == want.t_values.tobytes()
+    assert np.array_equal(got.shell_counts, want.shell_counts)
+    assert np.array_equal(got.projection_counts, want.projection_counts)
+    # exact float equality, not a tolerance: mu and u are the same expressions
+    assert got.mu.tobytes() == want.mu.tobytes()
+    assert got.u.tobytes() == want.u.tobytes()
+    assert len(got.cellsets) == len(chains)
+    for got_chain, want_chain in zip(got.cellsets, chains):
+        assert len(got_chain) == len(want_chain) == f.dims + 1
+        for a, b in zip(got_chain, want_chain):
+            assert (a.shape, a.cell_sizes) == (b.shape, b.cell_sizes)
+            np.testing.assert_array_equal(a.indices, b.indices)
+    return got
+
+
+def _monotone_grid(rng, shape, levels=3):
+    """Integer values nonincreasing along every axis, with ties and a corner of zeros."""
+    a = rng.integers(0, levels, size=shape).astype(np.float64)
+    for ax in range(len(shape)):
+        a = np.flip(np.cumsum(np.flip(a, ax), axis=ax), ax)
+    # {index sum >= c} is an up-set, so zeroing it keeps the grid monotone
+    total = sum(np.indices(shape))
+    a[total >= rng.integers(1, sum(shape))] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 6), (1, 9), (9, 1), (5, 4, 3), (5, 1, 4), (3, 3, 3, 2)])
+def test_array_gauge_matches_projection_chains(shape):
+    rng = np.random.default_rng(sum(shape) * 101 + len(shape))
+    for trial in range(12):
+        sizes = tuple(float(c) for c in rng.uniform(0.1, 2.0, size=len(shape)))
+        if trial % 3 == 0:
+            vals = _monotone_grid(rng, shape)
+        elif trial % 3 == 1:
+            # unordered input with ties and zeros; the gauge rearranges it first
+            vals = rng.integers(0, 4, size=shape).astype(np.float64)
+        else:
+            vals = rng.uniform(0, 1, size=shape) * (rng.uniform(size=shape) < 0.7)
+        f = make_grid_function(vals, sizes)
+        if np.count_nonzero(vals) < 2:
+            assert build_gauge(f, tuple(range(len(shape)))).degenerate
+            continue
+        for order in (tuple(range(len(shape))), tuple(reversed(range(len(shape))))):
+            _assert_gauge_matches_chains(f, order)
+
+
+def test_array_gauge_explicit_t_values_up_to_the_support():
+    rng = np.random.default_rng(211)
+    for shape, sizes in [((6, 5), (0.3, 1.7)), ((4, 3, 5), (0.5, 0.25, 2.0)), ((11,), (0.2,))]:
+        for _ in range(6):
+            vals = rng.integers(0, 3, size=shape).astype(np.float64)
+            supp = int(np.count_nonzero(vals))
+            if supp < 2:
+                continue
+            f = make_grid_function(vals, sizes)
+            v = f.cell_volume
+            top = supp - supp % 2
+            # unsorted, repeated, down to the smallest shell and up to the support
+            ks = [top, 2, top, max(2, top // 2 - top // 2 % 2), 2]
+            gauge = _assert_gauge_matches_chains(f, tuple(range(len(shape))),
+                                                 [k * v for k in ks])
+            assert gauge.shell_counts[0, 0] == top // 2
+
+
+def test_array_gauge_matches_projection_chains_on_the_corpus():
+    for fid, f in default_corpus(7):
+        if f.dims < 2:
+            continue
+        for order in (tuple(range(f.dims)), tuple(reversed(range(f.dims)))):
+            _assert_gauge_matches_chains(f, order)
+
+
+def test_array_gauge_builds_cellsets_only_when_read():
+    f = make_grid_function(np.arange(12.0).reshape(3, 4), (0.5, 0.25))
+    gauge = build_gauge(f, (0, 1))
+    assert "cellsets" not in vars(gauge)
+    chains = gauge.cellsets
+    assert gauge.cellsets is chains
+    assert len(chains) == gauge.t_values.size
+    assert build_gauge(make_grid_function([[0.0, 2.0]], (1.0, 1.0)), (0, 1)).cellsets == ()
+
+
+@pytest.mark.parametrize("k", [3, 1.3, 0, -2, 14, 24])
+def test_array_gauge_rejects_t_values(k):
+    # 12 nonzero cells of volume 0.125: odd, off-lattice, nonpositive, beyond the support
+    vals = np.arange(12.0).reshape(3, 4) + 1.0
+    f = make_grid_function(vals, (0.5, 0.25))
+    with pytest.raises(ParameterError):
+        build_gauge(f, (0, 1), t_values=[4 * 0.125, k * 0.125])
+    build_gauge(f, (0, 1), t_values=[12 * 0.125])
 
 
 def test_cumulative_integral_against_brute_force():

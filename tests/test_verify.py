@@ -365,6 +365,9 @@ _CURVES_ENTRY_POINTS = {
         lambda f, params, curves: verify_isotropic_estimate(f, params.p, 0.5, curves=curves),
     "verify_embedding": lambda f, params, curves: verify_embedding(f, params, curves=curves),
     "_besov_product": lambda f, params, curves: _besov_product(f, params, True, curves=curves),
+    "verify_anisotropic_estimate":
+        lambda f, params, curves: verify_anisotropic_estimate(f, params.p, (0, 1), [0.5],
+                                                              curves=curves),
 }
 
 
@@ -422,6 +425,34 @@ def test_aniso_lattice_terms_hoisted_keep_the_bits(fid):
                 assert ri.degenerate and rs.degenerate
             else:
                 assert (ri.lhs, ri.rhs, rs.lhs, rs.rhs) == w
+
+
+@pytest.mark.parametrize("fid", [fid for fid, f in _CORPUS.items() if f.dims == 2][::3])
+def test_aniso_estimate_with_shared_curves_keeps_the_bits(fid):
+    f = _CORPUS[fid]
+    hs = [max(f.extent) * 2.0**-k for k in range(1, 7)]
+    curves = _curves_for(f, 1.0)
+    for order in ((0, 1), (1, 0)):
+        gauge = build_gauge(f, order)
+        assert (verify_anisotropic_estimate(f, 1.0, order, hs, gauge, fid, curves=curves)
+                == verify_anisotropic_estimate(f, 1.0, order, hs, gauge, fid))
+
+
+def test_aniso_estimate_job_builds_one_curve_per_axis(monkeypatch):
+    calls = []
+    profile = agf.moduli._shift_power_profile
+
+    def counted(f, k, p):
+        calls.append((k, p))
+        return profile(f, k, p)
+
+    monkeypatch.setattr(agf.moduli, "_shift_power_profile", counted)
+    for fid in ("hat-multilinear-20240908-0", "random-mdec-20240911-0"):
+        f = _CORPUS[fid]
+        calls.clear()
+        run_experiment("aniso-estimate", [(fid, f)])
+        # both orders of a 2-D member share the p = 1 curves; 3-D members need none
+        assert sorted(calls) == ([(0, 1.0), (1, 1.0)] if f.dims == 2 else [])
 
 
 def test_bbm_reports_past_the_gagliardo_guard():
