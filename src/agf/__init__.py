@@ -26,7 +26,7 @@ from .geometry import (AnisotropicGauge, CellSet, ProjectionProfile, box_average
                        box_average_field, build_gauge, default_t_grid,
                        loomis_whitney_check, minimal_projection_chain,
                        projection_profile, superlevel_filling)
-from .verify import (InequalityReport, LimitTrace, limiting_sweep,
+from .verify import (InequalityReport, LimitTrace, Member, limiting_sweep,
                      verify_anisotropic_estimate, verify_axis_decrement,
                      verify_box_operator, verify_embedding,
                      verify_fractional_sobolev, verify_gagliardo_limit,

@@ -1,9 +1,12 @@
 """Experiment definitions: corpus wiring, parameter grids, deterministic runs.
 
-Each experiment expands to an ordered list of independent jobs (one per
-function x verifier x coarse parameter block).  Jobs may execute on a thread
-pool, but results are merged in submission order and rows are sorted before
-emission, so the output is byte-identical for any thread count.
+``run_experiment`` wraps each corpus member once in a ``verify.Member``, so
+every experiment of the call reads one set of curves, f*, decrement sums and
+gauges per member, each built on first use.  Each experiment expands to an
+ordered list of independent jobs (one per member x verifier x coarse
+parameter block).  Jobs may execute on a thread pool, but results are merged
+in submission order and rows are sorted before emission, so the output is
+byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ from . import verify as V
 from .calibration import BudgetFile
 from .corpus import CorpusSpec, generate_corpus
 from .errors import ParameterError
-from .geometry import build_gauge
 from .grid import GridFunction
-from .moduli import modulus_curve
-from .verify import InequalityReport, LimitTrace
+from .verify import InequalityReport, LimitTrace, Member
 
 EXPERIMENTS = ("rearr-estimate", "aniso-estimate", "embedding", "limit-sweep",
                "bbm", "modulus-lemmas", "appendix")
@@ -84,42 +85,37 @@ def _max_extent(f: GridFunction) -> float:
 
 # --- per-experiment job builders --------------------------------------------------
 
-def _jobs_rearr_estimate(corpus, opts):
+def _jobs_rearr_estimate(members, opts):
     jobs = []
-    for fid, f in corpus:
-        def job(fid=fid, f=f):
+    for m in members:
+        def job(m=m):
             res = ExperimentResult()
             for p in P_GRID:
-                curves = [modulus_curve(f, k, p) for k in range(f.dims)]
-                sums = V.decrement_sums(f, p)
-                for d in _dyadic(_max_extent(f), 5):
-                    res.reports.append(V.verify_isotropic_estimate(
-                        f, p, d, fid, curves=curves, sums=sums))
+                for d in _dyadic(_max_extent(m.f), 5):
+                    res.reports.append(V.verify_isotropic_estimate(m, p, d))
             return res
         jobs.append(job)
     return jobs
 
 
-def _jobs_aniso_estimate(corpus, opts):
+def _jobs_aniso_estimate(members, opts):
     jobs = []
-    for fid, f in corpus:
+    for m in members:
+        f = m.f
         if f.dims < 2:
             continue
-        def job(fid=fid, f=f):
+        def job(m=m, f=f):
             res = ExperimentResult()
-            # both orders share the p = 1 curves of f
-            curves = [modulus_curve(f, k, 1.0) for k in range(f.dims)] if f.dims == 2 else None
             for order in (tuple(range(f.dims)), tuple(reversed(range(f.dims)))):
-                gauge = build_gauge(f, order)
-                res.reports.extend(V.verify_gauge_product(f, order, gauge, fid))
+                gauge = m.gauge(order)
+                res.reports.extend(V.verify_gauge_product(m, order))
                 if f.dims == 2:
                     hs = _dyadic(_max_extent(f), 6)
-                    res.reports.extend(V.verify_anisotropic_estimate(
-                        f, 1.0, order, hs, gauge, fid, curves=curves))
+                    res.reports.extend(V.verify_anisotropic_estimate(m, 1.0, order, hs))
                 for i, t in enumerate(gauge.t_values):
                     for j in range(f.dims):
                         res.gauge_rows.append((
-                            fid, "".join(str(k) for k in order), float(t), j,
+                            m.function_id, "".join(str(k) for k in order), float(t), j,
                             float(gauge.mu[i, j]), float(gauge.u[i, j]),
                             float(gauge.shell_counts[i, j + 1] * gauge.cell_volume),
                             float(gauge.projection_counts[i, j] * gauge.cell_volume
@@ -130,98 +126,96 @@ def _jobs_aniso_estimate(corpus, opts):
     return jobs
 
 
-def _jobs_embedding(corpus, opts):
+def _jobs_embedding(members, opts):
     from .norms import derive_params
     explore = bool(opts.get("explore_open_case"))
     jobs = []
-    for fid, f in corpus:
-        if f.dims != 2:
+    for m in members:
+        if m.f.dims != 2:
             continue
         for p, beta_js, theta_js in EMBEDDING_POINTS:
-            def job(fid=fid, f=f, p=p, beta_js=beta_js, theta_js=theta_js):
+            def job(m=m, p=p, beta_js=beta_js, theta_js=theta_js):
                 res = ExperimentResult()
-                params = derive_params(p, beta_js, theta_js, f.dims)
-                curves = [modulus_curve(f, k, p) for k in range(f.dims)]
+                params = derive_params(p, beta_js, theta_js, m.f.dims)
                 res.reports.extend(V.verify_embedding(
-                    f, params, "lorentz",
-                    function_id=fid, explore_open_case=explore, curves=curves))
+                    m, params, "lorentz", explore_open_case=explore))
                 res.reports.extend(V.verify_embedding(
-                    f, params, "mixed", order=(0, 1),
-                    function_id=fid, explore_open_case=explore, curves=curves))
+                    m, params, "mixed", order=(0, 1), explore_open_case=explore))
                 return res
             jobs.append(job)
     return jobs
 
 
-def _jobs_limit_sweep(corpus, opts):
+def _jobs_limit_sweep(members, opts):
     m_max = int(opts.get("m_max", 8))
     jobs = []
-    for fid, f in corpus:
-        if f.dims != 2 or "hat-multilinear" not in fid:
+    for m in members:
+        if m.f.dims != 2 or "hat-multilinear" not in m.function_id:
             continue
-        def job(fid=fid, f=f):
+        def job(m=m):
             res = ExperimentResult()
-            tw, tc, reps = V.limiting_sweep(f, 1.0, (1.0, 1.0), m_max, fid)
+            tw, tc, reps = V.limiting_sweep(m, 1.0, (1.0, 1.0), m_max)
             res.traces.extend([tw, tc])
             res.reports.extend(reps)
-            res.reports.append(V.verify_lipschitz_endpoint(f, 1.0, fid))
+            res.reports.append(V.verify_lipschitz_endpoint(m, 1.0))
             return res
         jobs.append(job)
     return jobs
 
 
-def _jobs_bbm(corpus, opts):
+def _jobs_bbm(members, opts):
     m_max = int(opts.get("m_max", 8))
     jobs = []
-    for fid, f in corpus:
+    for m in members:
+        fid, f = m.function_id, m.f
         if "hat-multilinear" in fid and f.dims == 1:
-            def job_limits(fid=fid, f=f):
+            def job_limits(m=m):
                 res = ExperimentResult()
                 for theta in (1.0, 2.0):
-                    res.traces.append(V.verify_limit_relations(f, 0, 1.0, theta, m_max, fid))
-                res.traces.append(V.verify_gagliardo_limit(f, 1.0, min(m_max, 6), fid))
+                    res.traces.append(V.verify_limit_relations(m, 0, 1.0, theta, m_max))
+                res.traces.append(V.verify_gagliardo_limit(m, 1.0, min(m_max, 6)))
                 return res
             jobs.append(job_limits)
         if "hat-multilinear" in fid or (f.dims == 1 and "indicator" in fid):
-            def job_sobolev(fid=fid, f=f):
+            def job_sobolev(m=m):
                 res = ExperimentResult()
                 for alpha in (0.5, 0.75):
-                    res.reports.extend(V.verify_fractional_sobolev(f, 1.0, alpha, fid))
+                    res.reports.extend(V.verify_fractional_sobolev(m, 1.0, alpha))
                 return res
             jobs.append(job_sobolev)
     return jobs
 
 
-def _jobs_modulus_lemmas(corpus, opts):
+def _jobs_modulus_lemmas(members, opts):
     jobs = []
-    for fid, f in corpus:
-        def job(fid=fid, f=f):
+    for m in members:
+        def job(m=m):
             res = ExperimentResult()
+            f = m.f
             for p in P_GRID:
-                res.reports.extend(V.verify_modulus_lemmas(
-                    f, p, _dyadic(_max_extent(f), 16), fid))
+                res.reports.extend(V.verify_modulus_lemmas(m, p, _dyadic(_max_extent(f), 16)))
                 # the 1-D comparison lives on [0, 1], so its shifts are fractions of 1
                 top = 1.0 if f.dims == 1 else _max_extent(f)
-                res.reports.extend(V.verify_rearrangement_modulus(
-                    f, p, _dyadic(top, 8), function_id=fid))
+                res.reports.extend(V.verify_rearrangement_modulus(m, p, _dyadic(top, 8)))
             return res
         jobs.append(job)
     return jobs
 
 
-def _jobs_appendix(corpus, opts):
+def _jobs_appendix(members, opts):
     jobs = []
-    for fid, f in corpus:
+    for m in members:
+        f = m.f
         if any(o != 0.0 for o in f.origin):
             continue
-        def job(fid=fid, f=f):
+        def job(m=m, f=f):
             res = ExperimentResult()
-            res.reports.extend(V.verify_box_operator(f, (1.0, 2.0), (-0.5, 0.5, 2.0), fid))
+            res.reports.extend(V.verify_box_operator(m, (1.0, 2.0), (-0.5, 0.5, 2.0)))
             if f.halfspace:
                 cmin = min(f.cell_sizes)
                 for p in P_GRID:
                     res.reports.extend(V.verify_axis_decrement(
-                        f, p, (2.0, 4.0), (cmin, 2.0 * cmin, 4.0 * cmin), fid))
+                        m, p, (2.0, 4.0), (cmin, 2.0 * cmin, 4.0 * cmin)))
             return res
         jobs.append(job)
     return jobs
@@ -242,7 +236,8 @@ def run_experiment(name: str, corpus, budgets: BudgetFile | None = None,
                    threads: int = 1, opts: dict | None = None) -> ExperimentResult:
     """Run one experiment (or 'all') over a corpus; deterministic merge order.
 
-    The verifiers give calibrated inequalities an infinite budget; with
+    ``corpus`` lists (function_id, f) pairs; each is wrapped in one ``Member``
+    that all jobs of the call share.  The verifiers give calibrated inequalities an infinite budget; with
     ``budgets`` given, each such report gets its budget from that file once
     the jobs are merged.
     """
@@ -251,9 +246,10 @@ def run_experiment(name: str, corpus, budgets: BudgetFile | None = None,
     for n in names:
         if n not in _JOB_BUILDERS:
             raise ParameterError(f"unknown experiment {n!r}; known: {EXPERIMENTS + ('all',)}")
+    members = [Member(f, fid) for fid, f in corpus]
     jobs = []
     for n in names:
-        jobs.extend(_JOB_BUILDERS[n](corpus, opts))
+        jobs.extend(_JOB_BUILDERS[n](members, opts))
     result = ExperimentResult()
     if threads <= 1:
         for job in jobs:

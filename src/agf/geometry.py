@@ -262,13 +262,16 @@ class AnisotropicGauge:
         return tuple(out)
 
 
-def default_t_grid(f: GridFunction, max_points: int = 64) -> np.ndarray:
+_T_GRID_POINTS = 64  # most lattice points of the default gauge grid
+
+
+def default_t_grid(f: GridFunction) -> np.ndarray:
     """Even lattice multiples up to the support measure, thinned dyadically."""
     v = f.cell_volume
     kmax = int(np.count_nonzero(f.values))
     ks = np.arange(2, kmax + 1, 2, dtype=np.int64)
-    if ks.size > max_points:
-        sel = np.unique(np.round(np.geomspace(1, ks.size, max_points)).astype(np.int64)) - 1
+    if ks.size > _T_GRID_POINTS:
+        sel = np.unique(np.round(np.geomspace(1, ks.size, _T_GRID_POINTS)).astype(np.int64)) - 1
         ks = ks[sel]
     return ks * v
 

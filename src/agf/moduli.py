@@ -40,13 +40,9 @@ def _shift_power_profile(f: GridFunction, k: int, p: float) -> np.ndarray:
     return out
 
 
-def shift_difference_norm(f: GridFunction, k: int, h: float, p: float,
-                          curve: ModulusCurve | None = None) -> float:
+def shift_difference_norm(f: GridFunction, k: int, h: float, p: float) -> float:
     """Exact I_k(f; h)_p for arbitrary real h via the piecewise-linear identity."""
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
-    curve = curve_for(f, k, p, curve)
-    return _interp_profile(curve.profile, curve.cell_size, abs(h)) ** (1.0 / p)
+    return modulus_curve(f, k, p).shift_norm(h)
 
 
 def _interp_profile(prof: np.ndarray, c: float, h: float) -> float:
@@ -93,6 +89,33 @@ class ModulusCurve:
     def sup_value(self) -> float:
         return float(self.omega_p[-1]) ** (1.0 / self.p)
 
+    def shift_norm(self, h: float) -> float:
+        """Exact I_k(f; h)_p for arbitrary real h via the piecewise-linear identity."""
+        return _interp_profile(self.profile, self.cell_size, abs(h)) ** (1.0 / self.p)
+
+    def shift_integral(self, delta: float) -> float:
+        """Exact ``integral_0^delta I_k(f; h)_p dh`` (closed form per linear piece)."""
+        prof, c, p = self.profile, self.cell_size, self.p
+        total = 0.0
+        h0 = 0.0
+        j = 0
+        while h0 < delta:
+            h1 = min((j + 1) * c, delta)
+            if j >= prof.size - 1:
+                total += float(prof[-1]) ** (1.0 / p) * (delta - h0)
+                break
+            lo, hi = float(prof[j]), float(prof[j + 1])
+            b = (hi - lo) / c
+            a = lo - b * j * c
+            if b == 0.0:
+                total += a ** (1.0 / p) * (h1 - h0)
+            else:
+                e = 1.0 + 1.0 / p
+                total += ((a + b * h1) ** e - (a + b * h0) ** e) / (b * e)
+            h0 = h1
+            j += 1
+        return total
+
 
 def _running_max_curve(prof: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Running max of a piecewise-linear profile, with crossing nodes inserted."""
@@ -127,8 +150,10 @@ def _running_max_curve(prof: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarr
 def modulus_curve(f: GridFunction, k: int, p: float) -> ModulusCurve:
     """Exact curve of the partial modulus omega_k(f; .)_p.
 
-    One curve per (f, k, p) serves every moduli and seminorm function through
-    its ``curve=`` argument, so the shift-power profile is computed once.
+    The curve carries the shift-power profile, so one curve per (f, k, p)
+    gives the modulus, the shift norms and their integral (``shift_norm``,
+    ``shift_integral``) and the axis seminorms (``besov_seminorm``,
+    ``lipschitz_seminorm``) from one computation.
     """
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
@@ -138,55 +163,17 @@ def modulus_curve(f: GridFunction, k: int, p: float) -> ModulusCurve:
     return ModulusCurve(k, p, d, w, prof, c)
 
 
-def check_curve(curve: ModulusCurve, k: int, p: float) -> None:
-    """Reject a curve built for another axis or exponent than the one requested."""
-    if curve.axis != k or curve.p != p:
-        raise PreconditionError(
-            f"curve was built for axis {curve.axis}, p={curve.p}; requested axis {k}, p={p}")
-
-
-def curve_for(f: GridFunction, k: int, p: float,
-              curve: ModulusCurve | None = None) -> ModulusCurve:
-    """``curve`` checked against axis k and p, or ``modulus_curve(f, k, p)`` when None."""
-    if curve is None:
-        return modulus_curve(f, k, p)
-    check_curve(curve, k, p)
-    return curve
-
-
-def partial_modulus(f: GridFunction, k: int, delta: float, p: float,
-                    curve: ModulusCurve | None = None) -> float:
+def partial_modulus(f: GridFunction, k: int, delta: float, p: float) -> float:
     """omega_k(f; delta)_p = sup over |h| <= delta of I_k(f; h)_p, exact."""
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
-    curve = curve_for(f, k, p, curve)
+    curve = modulus_curve(f, k, p)
     return float(curve(delta)) if delta > 0 else 0.0
 
 
-def shift_norm_integral(f: GridFunction, k: int, delta: float, p: float,
-                        curve: ModulusCurve | None = None) -> float:
+def shift_norm_integral(f: GridFunction, k: int, delta: float, p: float) -> float:
     """Exact ``integral_0^delta I_k(f; h)_p dh`` (closed form per linear piece)."""
-    curve = curve_for(f, k, p, curve)
-    prof, c = curve.profile, curve.cell_size
-    total = 0.0
-    h0 = 0.0
-    j = 0
-    while h0 < delta:
-        h1 = min((j + 1) * c, delta)
-        if j >= prof.size - 1:
-            total += float(prof[-1]) ** (1.0 / p) * (delta - h0)
-            break
-        lo, hi = float(prof[j]), float(prof[j + 1])
-        b = (hi - lo) / c
-        a = lo - b * j * c
-        if b == 0.0:
-            total += a ** (1.0 / p) * (h1 - h0)
-        else:
-            e = 1.0 + 1.0 / p
-            total += ((a + b * h1) ** e - (a + b * h0) ** e) / (b * e)
-        h0 = h1
-        j += 1
-    return total
+    return modulus_curve(f, k, p).shift_integral(delta)
 
 
 def interval_modulus_1d(f: GridFunction, delta: float, p: float) -> float:
@@ -279,12 +266,11 @@ def steklov_axis_derivative(f: GridFunction, h: float, j: int) -> GridFunction:
     return GridFunction(out, f.cell_sizes, origin, halfspace=f.halfspace)
 
 
-def steklov_derivative_norm(f: GridFunction, h: float, j: int, p: float,
-                            curve: ModulusCurve | None = None) -> float:
+def steklov_derivative_norm(f: GridFunction, h: float, j: int, p: float) -> float:
     """L^p norm of the Steklov axis derivative for arbitrary h > 0 (exact)."""
     if h <= 0:
         raise ParameterError(f"window h must be > 0, got {h}")
-    return shift_difference_norm(f, j, h, p, curve=curve) / h
+    return modulus_curve(f, j, p).shift_norm(h) / h
 
 
 def steklov_distance(f: GridFunction, h: float, j: int, p: float) -> float:

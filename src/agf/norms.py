@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, PreconditionError, ResourceError
 from .grid import GridFunction
-from .moduli import ModulusCurve, curve_for
+from .moduli import ModulusCurve
 from .rearrange import is_mdec
 from .step import StepFunction
 
@@ -133,22 +133,23 @@ class LipschitzValue:
     at_finest_scale: bool
 
 
-def lipschitz_seminorm(f: GridFunction, k: int, alpha: float, p: float,
-                       curve: ModulusCurve | None = None) -> LipschitzValue:
-    """sup over delta of omega_k(f; delta)_p / delta^alpha, with attained scale."""
+def lipschitz_seminorm(curve: ModulusCurve, alpha: float) -> LipschitzValue:
+    """sup over delta of omega_k(f; delta)_p / delta^alpha, with attained scale.
+
+    ``curve`` is ``modulus_curve(f, k, p)``, which carries k and p.
+    """
     if not 0 < alpha <= 1:
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
-    curve = curve_for(f, k, p, curve)
     val, at, flag = _curve_weighted_sup(curve, alpha)
     return LipschitzValue(val, at, flag)
 
 
-def besov_seminorm(f: GridFunction, k: int, alpha: float, theta: float, p: float,
-                   curve: ModulusCurve | None = None) -> float:
+def besov_seminorm(curve: ModulusCurve, alpha: float, theta: float) -> float:
     """Axis Besov seminorm (integral of (t^-alpha omega_k(f;t))^theta dt/t)^(1/theta).
 
-    Closed form on the sub-cell and constant pieces, Gauss-Legendre on the
-    interior smooth pieces, closed-form constant tail.  theta = inf gives the
+    ``curve`` is ``modulus_curve(f, k, p)``, which carries k and p.  Closed
+    form on the sub-cell and constant pieces, Gauss-Legendre on the interior
+    smooth pieces, closed-form constant tail.  theta = inf gives the
     Lipschitz-type sup.  Returns inf when the sub-cell piece diverges
     (alpha >= 1/p for a genuinely discontinuous representative).
     """
@@ -156,10 +157,9 @@ def besov_seminorm(f: GridFunction, k: int, alpha: float, theta: float, p: float
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     if theta < 1.0:
         raise ParameterError(f"theta must be >= 1, got {theta}")
-    curve = curve_for(f, k, p, curve)
     if math.isinf(theta):
         return _curve_weighted_sup(curve, alpha)[0]
-    tp = theta / p
+    tp = theta / curve.p
     at = alpha * theta
     # segment s carries omega^p = a + b t on [d0, d1]
     d, w = curve.deltas, curve.omega_p

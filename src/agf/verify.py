@@ -7,7 +7,8 @@ tier: hard constants that the underlying estimates state explicitly (asserted
 as-is), and "there exists c" results whose budgets a calibration run freezes.
 The verifiers read every budget from that table: a hard id gets its constant,
 a calibrated id gets inf until ``run_experiment(..., budgets=)`` applies the
-budget file.
+budget file.  Every verifier takes a ``Member``, which builds each quantity it
+derives from its function (curves, f*, decrement sums, gauges) once.
 """
 
 from __future__ import annotations
@@ -22,16 +23,7 @@ from .errors import ParameterError, PreconditionError, ResourceError
 from .geometry import (AnisotropicGauge, box_average_field, box_weights, build_gauge,
                        contract_axes)
 from .grid import GridFunction, make_grid_function
-from .moduli import (
-    ModulusCurve,
-    check_curve,
-    interval_modulus_1d,
-    modulus_curve,
-    partial_modulus,
-    shift_norm_integral,
-    steklov_derivative_norm,
-    steklov_distance,
-)
+from .moduli import ModulusCurve, interval_modulus_1d, modulus_curve, steklov_distance
 from .norms import (
     BesovParams,
     _leggauss,
@@ -44,6 +36,7 @@ from .norms import (
     mixed_lorentz_norm,
 )
 from .rearrange import decreasing_rearrangement, dyadic_decrement, is_mdec, iterated_rearrangement
+from .step import StepFunction
 
 REL_TOL = 1e-9
 
@@ -141,20 +134,51 @@ def _degenerate(inequality_id, function_id, n, params, note="zero input"):
                    degenerate=True)
 
 
-def _axis_curves(f: GridFunction, p: float, curves) -> list[ModulusCurve | None]:
-    """One optional curve per axis, each checked against its axis and p.
+def _check_shifts(values, name: str) -> None:
+    """Reject any shift or scale that is not positive."""
+    for v in values:
+        if not v > 0:
+            raise ParameterError(f"{name} must be > 0, got {v}")
 
-    A None entry (or ``curves=None``) leaves that curve to be built per call.
+
+class Member:
+    """One corpus member with the quantities the verifiers derive from it.
+
+    Each item is built on first use and kept for the life of the record: the
+    modulus curves of f per axis at exponent p (``curves(p)``), its decreasing
+    rearrangement (``star``), the decrement sums at p (``sums(p)``) and the
+    gauge of a rearrangement order (``gauge(order)``).
     """
-    if curves is None:
-        return [None] * f.dims
-    curves = list(curves)
-    if len(curves) != f.dims:
-        raise PreconditionError(f"need one curve per axis: {len(curves)} for dims={f.dims}")
-    for k, curve in enumerate(curves):
-        if curve is not None:
-            check_curve(curve, k, p)
-    return curves
+
+    def __init__(self, f: GridFunction, function_id: str = ""):
+        self.f = f
+        self.function_id = function_id
+        self._items: dict = {}
+
+    def _item(self, key, build):
+        # the builds are pure, so threads racing on a first use store equal
+        # values; setdefault keeps the first, and every later read sees it
+        got = self._items.get(key)
+        return got if got is not None else self._items.setdefault(key, build())
+
+    def curves(self, p: float) -> tuple[ModulusCurve, ...]:
+        """``modulus_curve(f, k, p)`` for k = 0..n-1."""
+        return self._item(("curves", p),
+                          lambda: tuple(modulus_curve(self.f, k, p) for k in range(self.f.dims)))
+
+    @property
+    def star(self) -> StepFunction:
+        """The decreasing rearrangement f*."""
+        return self._item("star", lambda: decreasing_rearrangement(self.f))
+
+    def sums(self, p: float) -> DecrementSums:
+        """``decrement_sums(f*, p)``."""
+        return self._item(("sums", p), lambda: decrement_sums(self.star, p))
+
+    def gauge(self, order) -> AnisotropicGauge:
+        """``build_gauge(f, order)``."""
+        order = tuple(int(k) for k in order)
+        return self._item(("gauge", order), lambda: build_gauge(self.f, order))
 
 
 # --- isotropic rearrangement estimate -------------------------------------------
@@ -167,50 +191,43 @@ class DecrementSums(NamedTuple):
     beyond the support.  Building it costs O(K^2) for K steps.
     """
 
-    p: float
     left: np.ndarray
     right: np.ndarray
     inner: tuple[float, ...]
     tail: float
 
 
-def decrement_sums(f: GridFunction, p: float) -> DecrementSums:
-    """The ``DecrementSums`` of f at exponent p, as ``verify_isotropic_estimate`` uses them."""
-    sf = decreasing_rearrangement(f)
+def decrement_sums(sf: StepFunction, p: float) -> DecrementSums:
+    """The ``DecrementSums`` at exponent p of f* = ``sf``.
+
+    ``verify_isotropic_estimate`` reads them from ``Member.sums(p)``.
+    """
     bp = sf.breakpoints
     vals = sf.values
     left = np.concatenate([[0.0], bp[:-1]])
     widths = bp - left
     # inner integral is constant on each rearrangement step
     inner = tuple(float(np.sum((vals[:k] - vals[k]) ** p * widths[:k])) for k in range(vals.size))
-    return DecrementSums(p, left, bp, inner, float(np.sum(vals**p * widths)))
+    return DecrementSums(left, bp, inner, float(np.sum(vals**p * widths)))
 
 
-def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
-                              function_id: str = "",
-                              curves=None, sums: DecrementSums | None = None) -> InequalityReport:
+def verify_isotropic_estimate(m: Member, p: float, delta: float) -> InequalityReport:
     """Tail integral of the rearrangement decrement against the isotropic modulus.
 
     LHS = integral over t > delta^n of t^(-p/n - 1) * integral_0^t
     (f*(u) - f*(t))^p du dt, closed form on the rearrangement steps.
     RHS = (omega(f; delta)_p / delta)^p with the isotropic modulus taken as the
-    max over axes of the partial moduli (recorded in the params).  ``curves``
-    holds ``modulus_curve(f, k, p)`` for k = 0..n-1 and ``sums`` holds
-    ``decrement_sums(f, p)`` when the caller has them.
+    max over axes of the partial moduli (recorded in the params).
     """
     if not math.isfinite(p) or p < 1:
         raise ParameterError(f"p must be finite and >= 1, got {p}")
     if delta <= 0:
         raise ParameterError(f"delta must be > 0, got {delta}")
-    n = f.dims
-    curves = _axis_curves(f, p, curves)
-    if sums is None:
-        sums = decrement_sums(f, p)
-    elif sums.p != p:
-        raise PreconditionError(f"decrement sums were built for p={sums.p}; requested p={p}")
+    n = m.f.dims
+    sums = m.sums(p)
     params = {"p": p, "delta": delta, "isotropic_modulus": "max-over-axes"}
     if not sums.inner:
-        return _degenerate("rearr-estimate", function_id, n, params)
+        return _degenerate("rearr-estimate", m.function_id, n, params)
     left, bp = sums.left, sums.right
     lo_cut = delta**n
     e = p / n
@@ -221,17 +238,14 @@ def verify_isotropic_estimate(f: GridFunction, p: float, delta: float,
             lhs += inner * (lo ** (-e) - hi ** (-e)) / e
     tail_lo = max(bp[-1], lo_cut)
     lhs += sums.tail * tail_lo ** (-e) / e
-    omega = max(partial_modulus(f, k, delta, p, curve=curves[k]) for k in range(n))
+    omega = max(curve(delta) for curve in m.curves(p))
     rhs = (omega / delta) ** p
-    return _report("rearr-estimate", function_id, n, params, lhs, rhs)
+    return _report("rearr-estimate", m.function_id, n, params, lhs, rhs)
 
 
 # --- anisotropic gauge estimates --------------------------------------------------
 
-def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
-                                gauge: AnisotropicGauge | None = None,
-                                function_id: str = "",
-                                curves=None) -> list[InequalityReport]:
+def verify_anisotropic_estimate(m: Member, p: float, order, h_values) -> list[InequalityReport]:
     """Gauge-weighted decrement bounds, one report pair per (axis, shift).
 
     With phi(t) = f*(t) - f*(2t) and the per-axis gauge u_j(t), checks on the
@@ -242,21 +256,18 @@ def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
     * sup form:       max over t in Omega of t^(1/p) phi(t) / u_j(t)
       <=  c omega_j(f; h)_p / h
 
-    The moduli on the right are those of the original f; ``curves`` holds
-    ``modulus_curve(f, j, p)`` per axis when the caller has them.
+    The moduli on the right are those of the original f.
     """
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
+    _check_shifts(h_values, "shift h")
     order = tuple(int(k) for k in order)
-    if gauge is None:
-        gauge = build_gauge(f, order)
-    elif gauge.order != order:
-        raise PreconditionError(f"gauge was built for order {gauge.order}, requested {order}")
-    n = f.dims
-    phi = dyadic_decrement(decreasing_rearrangement(f))
+    gauge = m.gauge(order)
+    n = m.f.dims
+    function_id = m.function_id
+    phi = dyadic_decrement(m.star)
     reports: list[InequalityReport] = []
-    curves = [modulus_curve(f, j, p) if c is None else c
-              for j, c in enumerate(_axis_curves(f, p, curves))]
+    curves = m.curves(p)
     tv = gauge.t_values
     t_prev = np.concatenate([[0.0], tv[:-1]]) if tv.size else tv
     # the terms of lattice point i, shared by every (axis, h)
@@ -288,17 +299,15 @@ def verify_anisotropic_estimate(f: GridFunction, p: float, order, h_values,
     return reports
 
 
-def verify_gauge_product(f: GridFunction, order,
-                         gauge: AnisotropicGauge | None = None,
-                         function_id: str = "") -> list[InequalityReport]:
+def verify_gauge_product(m: Member, order) -> list[InequalityReport]:
     """Exact check that the gauge factors multiply below the level measure.
 
     product over j of u_j(t) <= t at every lattice point; hard budget 1.
     """
     order = tuple(int(k) for k in order)
-    if gauge is None:
-        gauge = build_gauge(f, order)
-    n = f.dims
+    gauge = m.gauge(order)
+    n = m.f.dims
+    function_id = m.function_id
     params = {"order": list(order)}
     if gauge.degenerate or gauge.t_values.size == 0:
         return [_degenerate("gauge-product", function_id, n, params, "degenerate gauge")]
@@ -312,15 +321,14 @@ def verify_gauge_product(f: GridFunction, order,
 
 # --- embedding into Lorentz spaces -------------------------------------------------
 
-def _besov_product(f: GridFunction, params: BesovParams, with_factors: bool, curves=None):
+def _besov_product(m: Member, params: BesovParams, with_factors: bool):
     """Product over axes of (optionally weighted) axis Besov seminorms."""
     n = params.n
-    curves = _axis_curves(f, params.p, curves)
+    curves = m.curves(params.p)
     rhs = 1.0
     semis = []
     for j in range(n):
-        b = besov_seminorm(f, j, params.beta_js[j], params.theta_js[j], params.p,
-                           curve=curves[j])
+        b = besov_seminorm(curves[j], params.beta_js[j], params.theta_js[j])
         semis.append(b)
         factor = 1.0
         if with_factors and not math.isinf(params.theta_js[j]):
@@ -329,18 +337,14 @@ def _besov_product(f: GridFunction, params: BesovParams, with_factors: bool, cur
     return rhs, semis
 
 
-def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorentz",
-                     order=None, function_id: str = "",
-                     explore_open_case: bool = False,
-                     curves=None) -> list[InequalityReport]:
+def verify_embedding(m: Member, params: BesovParams, flavor: str = "lorentz",
+                     order=None, explore_open_case: bool = False) -> list[InequalityReport]:
     """Lorentz-norm embedding against the weighted product of axis Besov seminorms.
 
     flavor "lorentz" bounds the Lorentz norm of f*; flavor "mixed" bounds the
     mixed Lorentz norm of the iterated rearrangement (``order`` required).
     Also asserts the exact dyadic-decrement step of the proof:
     the Lorentz norm is at most (1 - 2^(-1/q))^(-1) times the decrement norm J.
-    ``curves`` holds ``modulus_curve(f, k, params.p)`` per axis when the caller
-    has them.
     """
     if flavor not in ("lorentz", "mixed"):
         raise ParameterError(f"unknown norm flavor {flavor!r}")
@@ -351,7 +355,7 @@ def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorent
     if any(t < params.p for t in params.theta_js) and not explore_open_case:
         raise ParameterError("theta_j < p is an open case; pass explore_open_case to log ratios")
     q, theta, p = params.q, params.theta, params.p
-    curves = _axis_curves(f, p, curves)
+    f, function_id = m.f, m.function_id
     ineq_id = "embedding-lorentz" if flavor == "lorentz" else "embedding-mixed"
     rep_params = {"p": p, "q": q, "theta": theta,
                   "beta_js": list(params.beta_js), "theta_js": list(params.theta_js),
@@ -360,14 +364,14 @@ def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorent
         rep_params["order"] = [int(k) for k in order]
     if f.support_cells == 0:
         return [_degenerate(ineq_id, function_id, params.n, rep_params)]
-    sf = decreasing_rearrangement(f)
+    sf = m.star
     if flavor == "lorentz":
         lhs = lorentz_norm(sf, q, theta)
     else:
         if order is None:
             raise ParameterError("mixed flavor requires a rearrangement order")
         lhs = mixed_lorentz_norm(iterated_rearrangement(f, order), q, theta)
-    rhs, semis = _besov_product(f, params, with_factors=True, curves=curves)
+    rhs, semis = _besov_product(m, params, with_factors=True)
     trunc = ""
     if math.isinf(rhs):
         trunc = "unbounded seminorm on the right"
@@ -387,29 +391,27 @@ def verify_embedding(f: GridFunction, params: BesovParams, flavor: str = "lorent
     return out
 
 
-def verify_lipschitz_endpoint(f: GridFunction, p: float,
-                              function_id: str = "") -> InequalityReport:
+def verify_lipschitz_endpoint(m: Member, p: float) -> InequalityReport:
     """Endpoint Lorentz bound by the geometric mean of axis Lipschitz seminorms.
 
     With every axis smoothness equal to 1: Lorentz(q*, s) norm of f* against
     the product of sup-slope seminorms, q* = np/(n-p), s = p.
     """
-    n = f.dims
+    n = m.f.dims
     lp = derive_lipschitz_params(p, (1.0,) * n, n)
     params = {"p": p, "q_star": lp.q_star, "s": lp.s}
     if not lp.admissible or not math.isfinite(lp.q_star):
         raise ParameterError(f"endpoint requires p < n, got p={p}, n={n}")
-    if f.support_cells == 0:
-        return _degenerate("lipschitz-endpoint", function_id, n, params)
-    lhs = lorentz_norm(decreasing_rearrangement(f), lp.q_star, lp.s)
+    if m.f.support_cells == 0:
+        return _degenerate("lipschitz-endpoint", m.function_id, n, params)
+    lhs = lorentz_norm(m.star, lp.q_star, lp.s)
     rhs = 1.0
-    for k in range(n):
-        rhs *= lipschitz_seminorm(f, k, 1.0, p).value ** (lp.alpha / (n * 1.0))
-    return _report("lipschitz-endpoint", function_id, n, params, lhs, rhs)
+    for curve in m.curves(p):
+        rhs *= lipschitz_seminorm(curve, 1.0).value ** (lp.alpha / (n * 1.0))
+    return _report("lipschitz-endpoint", m.function_id, n, params, lhs, rhs)
 
 
-def limiting_sweep(f: GridFunction, p: float, theta_js, m_max: int,
-                   function_id: str = ""):
+def limiting_sweep(m: Member, p: float, theta_js, m_max: int):
     """Embedding ratio along axis smoothness 1 - 2^(-m), with and without weights.
 
     Returns (trace_with, trace_control, reports).  Trace values are RHS/LHS:
@@ -417,16 +419,15 @@ def limiting_sweep(f: GridFunction, p: float, theta_js, m_max: int,
     unweighted control trace diverges like a power of 2^m -- the asymptotics
     the weighted inequality is designed to capture.
     """
-    n = f.dims
+    n = m.f.dims
     theta_js = tuple(float(t) for t in theta_js)
     ms = []
     vals_with = []
     vals_ctrl = []
     reports = []
     truncated = False
-    curves = None  # built at the first admissible m; every m shares them
-    for m in range(1, m_max + 1):
-        beta = 1.0 - 2.0**-m
+    for i in range(1, m_max + 1):
+        beta = 1.0 - 2.0**-i
         try:
             params = derive_params(p, (beta,) * n, theta_js, n)
         except ParameterError:
@@ -435,17 +436,14 @@ def limiting_sweep(f: GridFunction, p: float, theta_js, m_max: int,
         if not params.admissible:
             truncated = True
             break
-        if curves is None:
-            curves = [modulus_curve(f, j, p) for j in range(n)]
-        reps = verify_embedding(f, params, flavor="lorentz",
-                                function_id=function_id, curves=curves)
+        reps = verify_embedding(m, params, flavor="lorentz")
         rep = reps[0]
         reports.extend(reps)
-        rhs_ctrl, _ = _besov_product(f, params, with_factors=False, curves=curves)
+        rhs_ctrl, _ = _besov_product(m, params, with_factors=False)
         if rep.lhs == 0.0:
             truncated = True
             break
-        ms.append(m)
+        ms.append(i)
         vals_with.append(rep.rhs / rep.lhs)
         vals_ctrl.append(rhs_ctrl / rep.lhs)
     vw = np.asarray(vals_with)
@@ -453,17 +451,17 @@ def limiting_sweep(f: GridFunction, p: float, theta_js, m_max: int,
     mm = np.asarray(ms, dtype=np.float64)
     target_w = float(vw[0]) if vw.size else 0.0
     target_c = float(vc[0]) if vc.size else 0.0
-    trace_with = LimitTrace("limit-sweep-weighted", function_id, "m", mm, vw,
+    trace_with = LimitTrace("limit-sweep-weighted", m.function_id, "m", mm, vw,
                             target_w, truncated)
-    trace_ctrl = LimitTrace("limit-sweep-control", function_id, "m", mm, vc,
+    trace_ctrl = LimitTrace("limit-sweep-control", m.function_id, "m", mm, vc,
                             target_c, truncated)
     return trace_with, trace_ctrl, reports
 
 
 # --- limit relations ---------------------------------------------------------------
 
-def verify_limit_relations(f: GridFunction, k: int, p: float, theta: float,
-                           m_max: int, function_id: str = "") -> LimitTrace:
+def verify_limit_relations(m: Member, k: int, p: float, theta: float,
+                           m_max: int) -> LimitTrace:
     """Scaled Besov seminorm along alpha = 1 - 2^(-m) against its sup-slope limit.
 
     value_m = (1 - alpha_m)^(1/theta) * axis Besov seminorm;
@@ -471,15 +469,16 @@ def verify_limit_relations(f: GridFunction, k: int, p: float, theta: float,
     """
     if math.isinf(theta):
         raise ParameterError("the scaled limit requires a finite theta")
-    curve = modulus_curve(f, k, p)
-    target = (1.0 / theta) ** (1.0 / theta) * lipschitz_seminorm(f, k, 1.0, p, curve=curve).value
+    if not 0 <= k < m.f.dims:
+        raise ParameterError(f"axis {k} out of range for dims={m.f.dims}")
+    curve = m.curves(p)[k]
+    target = (1.0 / theta) ** (1.0 / theta) * lipschitz_seminorm(curve, 1.0).value
     ms = np.arange(1, m_max + 1, dtype=np.float64)
     vals = np.empty(ms.size)
-    for i, m in enumerate(ms):
-        alpha = 1.0 - 2.0**-m
-        vals[i] = (1.0 - alpha) ** (1.0 / theta) * besov_seminorm(
-            f, k, alpha, theta, p, curve=curve)
-    return LimitTrace("besov-limit", function_id, "m", ms, vals, target)
+    for i, mi in enumerate(ms):
+        alpha = 1.0 - 2.0**-mi
+        vals[i] = (1.0 - alpha) ** (1.0 / theta) * besov_seminorm(curve, alpha, theta)
+    return LimitTrace("besov-limit", m.function_id, "m", ms, vals, target)
 
 
 def slope_norm_power(f: GridFunction, p: float) -> float:
@@ -495,8 +494,7 @@ def slope_norm_power(f: GridFunction, p: float) -> float:
     return float(np.sum(np.abs(np.diff(a)) ** p)) * c ** (1.0 - p)
 
 
-def verify_gagliardo_limit(f: GridFunction, p: float, m_max: int,
-                           function_id: str = "") -> LimitTrace:
+def verify_gagliardo_limit(m: Member, p: float, m_max: int) -> LimitTrace:
     """(1 - alpha) times the Gagliardo double integral against its 1-D limit.
 
     For a 1-D piecewise-constant representative the limit of
@@ -504,13 +502,14 @@ def verify_gagliardo_limit(f: GridFunction, p: float, m_max: int,
     of the difference-quotient derivative norm.  On a grid past the size guard
     of the double integral the trace has no points and is marked truncated.
     """
+    f, function_id = m.f, m.function_id
     if f.dims != 1:
         raise PreconditionError("the Gagliardo limit target is implemented for n = 1")
     target = (2.0 / p) * slope_norm_power(f, p)
     ms = np.arange(1, m_max + 1, dtype=np.float64)
     vals = np.empty(ms.size)
-    for i, m in enumerate(ms):
-        alpha = 1.0 - 2.0**-m
+    for i, mi in enumerate(ms):
+        alpha = 1.0 - 2.0**-mi
         try:
             vals[i] = (1.0 - alpha) * gagliardo_seminorm(f, alpha, p)
         except ResourceError:
@@ -520,8 +519,7 @@ def verify_gagliardo_limit(f: GridFunction, p: float, m_max: int,
     return LimitTrace("gagliardo-limit", function_id, "m", ms, vals, target)
 
 
-def verify_fractional_sobolev(f: GridFunction, p: float, alpha: float,
-                              function_id: str = "") -> list[InequalityReport]:
+def verify_fractional_sobolev(m: Member, p: float, alpha: float) -> list[InequalityReport]:
     """Critical-exponent norm bounds by the weighted Gagliardo integral.
 
     LHS is the p-th power of the L^(p*) norm (and, in the second report, of
@@ -530,6 +528,7 @@ def verify_fractional_sobolev(f: GridFunction, p: float, alpha: float,
     a grid past the size guard of that integral both reports are degenerate,
     and their truncation names the cell count and the guard.
     """
+    f, function_id = m.f, m.function_id
     n = f.dims
     if not 0.5 <= alpha < 1.0:
         raise ParameterError(f"alpha must lie in [1/2, 1), got {alpha}")
@@ -545,7 +544,7 @@ def verify_fractional_sobolev(f: GridFunction, p: float, alpha: float,
     except ResourceError as exc:
         return [_degenerate(iid, function_id, n, params, f"not computed: {exc}")
                 for iid in ids]
-    sf = decreasing_rearrangement(f)
+    sf = m.star
     rhs = (1.0 - alpha) / (n - alpha * p) ** (p - 1.0) * gagliardo
     lhs = lorentz_norm(sf, p_star, p_star) ** p
     lhs_lorentz = lorentz_norm(sf, p_star, p) ** p
@@ -566,15 +565,17 @@ def _unit_interval_values(f: GridFunction) -> np.ndarray:
     return np.concatenate([f.values, np.zeros(m - f.shape[0])])
 
 
-def verify_rearrangement_modulus(f: GridFunction, p: float, deltas, orders=None,
-                                 function_id: str = "") -> list[InequalityReport]:
+def verify_rearrangement_modulus(m: Member, p: float, deltas) -> list[InequalityReport]:
     """Moduli of rearrangements against moduli of the original function.
 
     For 1-D functions on [0, 1] and delta <= 1/2: the interval modulus of the
     decreasing rearrangement is at most twice that of f (hard constant 2).
     In any dimension: each partial modulus of an iterated rearrangement is at
-    most 3^n times the corresponding partial modulus of f (hard constant 3^n).
+    most 3^n times the corresponding partial modulus of f (hard constant 3^n),
+    for the identity order and its reverse.
     """
+    _check_shifts(deltas, "delta")
+    f, function_id = m.f, m.function_id
     n = f.dims
     reports: list[InequalityReport] = []
     zero = f.support_cells == 0
@@ -594,11 +595,9 @@ def verify_rearrangement_modulus(f: GridFunction, p: float, deltas, orders=None,
             reports.append(_report("rearrangement-modulus-1d", function_id, n,
                                    params, lhs, rhs))
         return reports
-    if orders is None:
-        orders = [tuple(range(n)), tuple(reversed(range(n)))]
     # each curve is built once and shared by every delta (and, for f, every order)
-    f_curves = [None if zero else modulus_curve(f, k, p) for k in range(n)]
-    for order in orders:
+    f_curves = None if zero else m.curves(p)
+    for order in (tuple(range(n)), tuple(reversed(range(n)))):
         rf = iterated_rearrangement(f, order)
         for k in range(n):
             rf_curve = None if zero else modulus_curve(rf, k, p)
@@ -608,15 +607,14 @@ def verify_rearrangement_modulus(f: GridFunction, p: float, deltas, orders=None,
                     reports.append(_degenerate("rearrangement-modulus-axes", function_id,
                                                n, params))
                     continue
-                lhs = partial_modulus(rf, k, delta, p, curve=rf_curve)
-                rhs = partial_modulus(f, k, delta, p, curve=f_curves[k])
+                lhs = rf_curve(delta)
+                rhs = f_curves[k](delta)
                 reports.append(_report("rearrangement-modulus-axes", function_id, n,
                                        params, lhs, rhs))
     return reports
 
 
-def verify_modulus_lemmas(f: GridFunction, p: float, deltas,
-                          function_id: str = "") -> list[InequalityReport]:
+def verify_modulus_lemmas(m: Member, p: float, deltas) -> list[InequalityReport]:
     """The three exact-constant modulus estimates, per axis and shift.
 
     * mean bound: omega_k(f; d)_p <= (3/d) integral_0^d I_k(f; h)_p dh
@@ -627,38 +625,41 @@ def verify_modulus_lemmas(f: GridFunction, p: float, deltas,
     These are full-space statements: an orthant-domain input is viewed as its
     zero extension, so its moduli count mass crossing the boundary.
     """
+    _check_shifts(deltas, "delta")
     reports: list[InequalityReport] = []
+    f, function_id = m.f, m.function_id
     if f.halfspace:
         f = GridFunction(f.values, f.cell_sizes, f.origin, halfspace=False)
+        m = Member(f, function_id)
     n = f.dims
     zero = f.support_cells == 0
     for k in range(n):
         # one curve per axis carries the profile every delta reads
-        curve = None if zero else modulus_curve(f, k, p)
+        curve = None if zero else m.curves(p)[k]
         for d in deltas:
             params = {"p": p, "axis": k, "delta": float(d)}
             if zero:
                 for iid in ("modulus-mean-bound", "steklov-distance", "steklov-derivative"):
                     reports.append(_degenerate(iid, function_id, n, params))
                 continue
-            omega = partial_modulus(f, k, d, p, curve=curve)
+            omega = curve(d)
             reports.append(_report(
                 "modulus-mean-bound", function_id, n, params,
-                omega, shift_norm_integral(f, k, d, p, curve=curve) / d))
+                omega, curve.shift_integral(d) / d))
             reports.append(_report(
                 "steklov-distance", function_id, n, params,
                 steklov_distance(f, d, k, p), omega))
             reports.append(_report(
                 "steklov-derivative", function_id, n, params,
-                steklov_derivative_norm(f, d, k, p, curve=curve), omega / d))
+                curve.shift_norm(d) / d, omega / d))
     return reports
 
 
 # --- dyadic-box operator and axis decrement ----------------------------------------
 
 def _orthant_weight_integral(phi: GridFunction, a: float) -> float:
-    """Exact integral of phi(x)^r-free weight:  sum over cells of value times
-    the closed-form integral of pi(x)^a on the cell (a > -1)."""
+    """Exact integral of phi(x) pi(x)^a over the orthant (a > -1): the sum over
+    cells of the cell value times the closed-form integral of pi(x)^a on the cell."""
     weight = None
     for s, c in zip(phi.shape, phi.cell_sizes):
         edges = np.arange(s + 1, dtype=np.float64) * c
@@ -766,8 +767,7 @@ def box_operator_weighted_integral(phi: GridFunction, r: float, a: float,
     return total
 
 
-def verify_box_operator(phi: GridFunction, rs, a_values,
-                        function_id: str = "") -> list[InequalityReport]:
+def verify_box_operator(m: Member, rs, a_values) -> list[InequalityReport]:
     """Dyadic-box averaging operator bounds with their stated constants.
 
     * pointwise (coordinate-wise nonincreasing phi only): phi(x) is at most its
@@ -775,6 +775,7 @@ def verify_box_operator(phi: GridFunction, rs, a_values,
     * weighted: integral of (T phi)^r pi^a is at most 2^(max(1,a) n) times the
       integral of phi^r pi^a -- the operator's own constant.
     """
+    phi, function_id = m.f, m.function_id
     n = phi.dims
     reports: list[InequalityReport] = []
     zero = phi.support_cells == 0
@@ -841,18 +842,19 @@ def axis_decrement_integral(f: GridFunction, k: int, mu: float, h: float, p: flo
     return (total * colvol) ** (1.0 / p)
 
 
-def verify_axis_decrement(f: GridFunction, p: float, mus, h_values,
-                          function_id: str = "") -> list[InequalityReport]:
+def verify_axis_decrement(m: Member, p: float, mus, h_values) -> list[InequalityReport]:
     """Column decrement integral against 4 mu times the modulus quotient.
 
     For coordinate-wise nonincreasing f on the orthant, each axis k, mu > 1:
     the exact column integral is at most 4 mu omega_k(f; h)_p / h.
     """
+    _check_shifts(h_values, "shift h")
+    f, function_id = m.f, m.function_id
     reports: list[InequalityReport] = []
     n = f.dims
     zero = f.support_cells == 0
     for k in range(n):
-        curve = None if zero else modulus_curve(f, k, p)
+        curve = None if zero else m.curves(p)[k]
         for mu in mus:
             for h in h_values:
                 params = {"p": p, "axis": k, "mu": float(mu), "h": float(h)}

@@ -6,11 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from agf import (
     ParameterError,
-    PreconditionError,
-    besov_seminorm,
-    default_corpus,
     interval_modulus_1d,
-    lipschitz_seminorm,
     lp_norm,
     make_grid_function,
     modulus_axioms_check,
@@ -168,48 +164,3 @@ def test_modulus_axioms_on_sampled_tent():
     f = make_grid_function(vals, 1 / 32)
     report = modulus_axioms_check(modulus_curve(f, 0, 1.0))
     assert report.all_passed, "\n".join(report.lines())
-
-
-_CORPUS = default_corpus(20240901)
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-def test_curve_argument_matches_per_call_path(p):
-    """Every moduli function reads exactly the value it computes on its own."""
-    for _fid, f in _CORPUS:
-        for k in range(f.dims):
-            curve = modulus_curve(f, k, p)
-            c = f.cell_sizes[k]
-            for d in (0.0, 0.3 * c, c, 2.5 * c, 0.5 * f.extent[k], 1.5 * f.extent[k]):
-                assert partial_modulus(f, k, d, p, curve=curve) == partial_modulus(f, k, d, p)
-                assert (shift_difference_norm(f, k, d, p, curve=curve)
-                        == shift_difference_norm(f, k, d, p))
-                assert (shift_norm_integral(f, k, d, p, curve=curve)
-                        == shift_norm_integral(f, k, d, p))
-                if d > 0:
-                    assert (steklov_derivative_norm(f, d, k, p, curve=curve)
-                            == steklov_derivative_norm(f, d, k, p))
-
-
-_CURVE_ENTRY_POINTS = {
-    "partial_modulus": lambda f, k, p, curve: partial_modulus(f, k, 0.5, p, curve=curve),
-    "shift_difference_norm":
-        lambda f, k, p, curve: shift_difference_norm(f, k, 0.5, p, curve=curve),
-    "shift_norm_integral": lambda f, k, p, curve: shift_norm_integral(f, k, 0.5, p, curve=curve),
-    "steklov_derivative_norm":
-        lambda f, k, p, curve: steklov_derivative_norm(f, 0.5, k, p, curve=curve),
-    "besov_seminorm": lambda f, k, p, curve: besov_seminorm(f, k, 0.5, 2.0, p, curve=curve),
-    "lipschitz_seminorm": lambda f, k, p, curve: lipschitz_seminorm(f, k, 1.0, p, curve=curve),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_CURVE_ENTRY_POINTS))
-def test_curve_for_other_axis_or_p_is_rejected(name):
-    call = _CURVE_ENTRY_POINTS[name]
-    rng = np.random.default_rng(5)
-    f = make_grid_function(rng.uniform(0, 1, size=(5, 4)), (0.5, 0.25))
-    call(f, 1, 2.0, modulus_curve(f, 1, 2.0))  # matching curve is accepted
-    with pytest.raises(PreconditionError):
-        call(f, 0, 2.0, modulus_curve(f, 1, 2.0))
-    with pytest.raises(PreconditionError):
-        call(f, 1, 2.0, modulus_curve(f, 1, 1.0))

@@ -96,7 +96,7 @@ def test_besov_against_quadrature():
     rng = np.random.default_rng(14)
     f = make_grid_function(rng.uniform(0, 2, size=(6, 5)), (0.4, 0.3))
     for k, alpha, theta, p in [(0, 0.5, 1.0, 1.0), (1, 0.3, 2.0, 1.0), (0, 0.4, 2.0, 2.0)]:
-        got = besov_seminorm(f, k, alpha, theta, p)
+        got = besov_seminorm(modulus_curve(f, k, p), alpha, theta)
         want = _besov_quadrature_oracle(f, k, alpha, theta, p)
         assert got == pytest.approx(want, rel=2e-3)
 
@@ -104,17 +104,18 @@ def test_besov_against_quadrature():
 def test_besov_divergence_and_guards():
     f = make_grid_function([1.0, 0.0], 0.5)
     # discontinuous representative with alpha >= 1/p: sub-cell piece diverges
-    assert besov_seminorm(f, 0, 0.6, 2.0, 2.0) == math.inf
+    assert besov_seminorm(modulus_curve(f, 0, 2.0), 0.6, 2.0) == math.inf
     with pytest.raises(ParameterError):
-        besov_seminorm(f, 0, 0.5, 0.5, 1.0)  # theta < 1
+        besov_seminorm(modulus_curve(f, 0, 1.0), 0.5, 0.5)  # theta < 1
     with pytest.raises(ParameterError):
-        besov_seminorm(f, 0, 1.5, 1.0, 1.0)
+        besov_seminorm(modulus_curve(f, 0, 1.0), 1.5, 1.0)
 
 
 def test_besov_theta_inf_is_lipschitz_sup():
     f = make_grid_function([2.0, 1.0, 0.5], 0.5)
-    got = besov_seminorm(f, 0, 0.4, math.inf, 1.0)
-    want = lipschitz_seminorm(f, 0, 0.4, 1.0).value
+    curve = modulus_curve(f, 0, 1.0)
+    got = besov_seminorm(curve, 0.4, math.inf)
+    want = lipschitz_seminorm(curve, 0.4).value
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -377,13 +378,13 @@ def test_besov_matches_per_segment_loop():
                 for alpha in (0.2, 0.5, 0.9):
                     for theta in (1.0, 1.5, 2.0):
                         want = _besov_per_segment_oracle(curve, alpha, theta)
-                        got = besov_seminorm(f, k, alpha, theta, p, curve=curve)
+                        got = besov_seminorm(curve, alpha, theta)
                         if math.isinf(want):
                             assert got == math.inf
                         else:
                             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-                    assert besov_seminorm(f, k, alpha, math.inf, p, curve=curve) == (
-                        lipschitz_seminorm(f, k, alpha, p, curve=curve).value)
+                    assert besov_seminorm(curve, alpha, math.inf) == (
+                        lipschitz_seminorm(curve, alpha).value)
     assert kinds == {"flat", "smooth"}
 
 
@@ -392,4 +393,4 @@ def test_besov_divergent_in_both():
     for p, alpha, theta in [(2.0, 0.6, 2.0), (2.0, 0.5, 1.0), (1.5, 0.7, 1.5)]:
         curve = modulus_curve(f, 0, p)
         assert _besov_per_segment_oracle(curve, alpha, theta) == math.inf
-        assert besov_seminorm(f, 0, alpha, theta, p, curve=curve) == math.inf
+        assert besov_seminorm(curve, alpha, theta) == math.inf

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,23 @@ def test_traced_function_exists(module, name):
 def test_job_builders_cover_the_traced_experiments():
     experiments = importlib.import_module("agf.experiments")
     assert set(_spans().EXPERIMENTS) <= set(experiments._JOB_BUILDERS)
+
+
+@pytest.mark.parametrize("name", _spans().LAYERS["moduli"])
+def test_counted_moduli_functions_name_their_input(name):
+    # the input counter binds each call's arguments by these names
+    params = inspect.signature(getattr(importlib.import_module("agf.moduli"), name)).parameters
+    assert "f" in params and "p" in params
+    assert ("k" in params) != ("j" in params)
+
+
+@pytest.mark.parametrize("experiment", sorted(_spans().EXPERIMENTS))
+def test_job_builders_return_zero_argument_jobs(experiment):
+    agf = importlib.import_module("agf")
+    experiments = importlib.import_module("agf.experiments")
+    # a 2-D hat at the origin has jobs in every experiment
+    fid, f = agf.generate_corpus(agf.CorpusSpec("hat-multilinear", (6, 6), (1 / 6, 1 / 6), 3))[0]
+    jobs = experiments._JOB_BUILDERS[experiment]([agf.Member(f, fid)], {"m_max": 2})
+    assert jobs
+    for job in jobs:
+        assert isinstance(job(), experiments.ExperimentResult)

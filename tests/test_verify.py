@@ -9,8 +9,8 @@ from agf import (
     BesovParams,
     CorpusSpec,
     InequalityReport,
+    Member,
     ParameterError,
-    PreconditionError,
     build_gauge,
     default_corpus,
     derive_params,
@@ -35,8 +35,8 @@ from agf import (
     verify_rearrangement_modulus,
 )
 from agf.rearrange import iterated_rearrangement
-from agf.verify import (_besov_product, axis_decrement_integral, box_operator_weighted_integral,
-                        decrement_sums)
+from agf.experiments import EXPERIMENTS
+from agf.verify import axis_decrement_integral, box_operator_weighted_integral
 
 
 def test_report_verdict_logic():
@@ -57,13 +57,13 @@ def test_report_verdict_logic():
 def test_zero_function_reports_degenerate():
     z1 = make_grid_function(np.zeros(4), 0.25)
     z2 = make_grid_function(np.zeros((3, 3)), (0.5, 0.5))
-    assert verify_isotropic_estimate(z2, 1.0, 0.5).verdict == "degenerate"
+    assert verify_isotropic_estimate(Member(z2), 1.0, 0.5).verdict == "degenerate"
     assert all(r.verdict == "degenerate"
-               for r in verify_modulus_lemmas(z2, 1.0, [0.5]))
+               for r in verify_modulus_lemmas(Member(z2), 1.0, [0.5]))
     assert all(r.verdict == "degenerate"
-               for r in verify_rearrangement_modulus(z1, 1.0, [0.25]))
+               for r in verify_rearrangement_modulus(Member(z1), 1.0, [0.25]))
     assert all(r.verdict == "degenerate"
-               for r in verify_axis_decrement(z2, 1.0, [2.0], [0.5]))
+               for r in verify_axis_decrement(Member(z2), 1.0, [2.0], [0.5]))
 
 
 def _scaled(f, lam):
@@ -75,8 +75,8 @@ def test_isotropic_estimate_ratio_is_dilation_invariant():
     f = make_grid_function(rng.uniform(0, 2, size=(5, 4)), (0.5, 0.4))
     g = _scaled(f, 3.0)
     for p, delta in [(1.0, 0.3), (2.0, 0.7)]:
-        a = verify_isotropic_estimate(f, p, delta)
-        b = verify_isotropic_estimate(g, p, 3.0 * delta)
+        a = verify_isotropic_estimate(Member(f), p, delta)
+        b = verify_isotropic_estimate(Member(g), p, 3.0 * delta)
         assert b.ratio == pytest.approx(a.ratio, rel=1e-11)
 
 
@@ -84,8 +84,8 @@ def test_modulus_lemmas_ratios_dilation_invariant_and_pass():
     rng = np.random.default_rng(67)
     f = make_grid_function(rng.uniform(0, 3, size=(4, 5)), (0.4, 0.3))
     g = _scaled(f, 3.0)
-    reps_f = verify_modulus_lemmas(f, 2.0, [0.2, 0.55], function_id="f")
-    reps_g = verify_modulus_lemmas(g, 2.0, [0.6, 1.65], function_id="g")
+    reps_f = verify_modulus_lemmas(Member(f, "f"), 2.0, [0.2, 0.55])
+    reps_g = verify_modulus_lemmas(Member(g, "g"), 2.0, [0.6, 1.65])
     assert all(r.verdict == "pass" for r in reps_f)
     for a, b in zip(reps_f, reps_g):
         assert a.inequality_id == b.inequality_id
@@ -95,28 +95,28 @@ def test_modulus_lemmas_ratios_dilation_invariant_and_pass():
 def test_lipschitz_endpoint_dilation_invariant():
     rng = np.random.default_rng(71)
     f = make_grid_function(rng.uniform(0, 1, size=(4, 4)), (0.5, 0.5))
-    a = verify_lipschitz_endpoint(f, 1.0)
-    b = verify_lipschitz_endpoint(_scaled(f, 3.0), 1.0)
+    a = verify_lipschitz_endpoint(Member(f), 1.0)
+    b = verify_lipschitz_endpoint(Member(_scaled(f, 3.0)), 1.0)
     assert b.ratio == pytest.approx(a.ratio, rel=1e-11)
     with pytest.raises(ParameterError):
-        verify_lipschitz_endpoint(f, 2.0)  # needs p < n
+        verify_lipschitz_endpoint(Member(f), 2.0)  # needs p < n
 
 
 def test_embedding_reports_and_dyadic_step():
     rng = np.random.default_rng(73)
     f = make_grid_function(rng.uniform(0, 2, size=(6, 6)), (0.4, 0.4))
     params = derive_params(1.0, (0.5, 0.5), (1.0, 1.0), 2)
-    reps = verify_embedding(f, params, flavor="lorentz")
+    reps = verify_embedding(Member(f), params, flavor="lorentz")
     assert [r.inequality_id for r in reps] == ["embedding-lorentz", "embedding-dyadic-step"]
     step = reps[1]
     assert step.verdict == "pass"  # exact Minkowski-type step, hard constant
     # dilation invariance of the main ratio
-    reps3 = verify_embedding(_scaled(f, 3.0), params, flavor="lorentz")
+    reps3 = verify_embedding(Member(_scaled(f, 3.0)), params, flavor="lorentz")
     assert reps3[0].ratio == pytest.approx(reps[0].ratio, rel=1e-11)
     # mixed flavor requires an order
     with pytest.raises(ParameterError):
-        verify_embedding(f, params, flavor="mixed")
-    mixed = verify_embedding(f, params, flavor="mixed", order=(0, 1))
+        verify_embedding(Member(f), params, flavor="mixed")
+    mixed = verify_embedding(Member(f), params, flavor="mixed", order=(0, 1))
     assert mixed[0].inequality_id == "embedding-mixed"
 
 
@@ -128,8 +128,8 @@ def test_embedding_open_case_guard():
     q = 2 * p / (2 - beta * p)
     open_params = BesovParams(p, (0.5, 0.5), (1.0, 1.0), 2, beta, 1.0, q, True)
     with pytest.raises(ParameterError):
-        verify_embedding(f, open_params, flavor="lorentz")
-    reps = verify_embedding(f, open_params, flavor="lorentz", explore_open_case=True)
+        verify_embedding(Member(f), open_params, flavor="lorentz")
+    reps = verify_embedding(Member(f), open_params, flavor="lorentz", explore_open_case=True)
     assert reps[0].truncation == "open-case, no verdict"
 
 
@@ -137,7 +137,7 @@ def test_gauge_product_exact_bound():
     rng = np.random.default_rng(79)
     for shape, cells in [((5, 4), (0.5, 0.25)), ((3, 3, 3), (0.5, 0.5, 0.5))]:
         f = make_grid_function(rng.uniform(0, 2, size=shape), cells)
-        reps = verify_gauge_product(f, tuple(range(len(shape))))
+        reps = verify_gauge_product(Member(f), tuple(range(len(shape))))
         assert reps and all(r.verdict in ("pass", "degenerate") for r in reps)
 
 
@@ -156,7 +156,7 @@ def test_aniso_sup_form_dominated_by_integral_form():
     gauge = build_gauge(f, (0, 1))
     phi = dyadic_decrement(decreasing_rearrangement(f))
     hs = [0.1, 0.25, 0.5]
-    reps = verify_anisotropic_estimate(f, p, (0, 1), hs, gauge=gauge)
+    reps = verify_anisotropic_estimate(Member(f), p, (0, 1), hs)
     tv = gauge.t_values
     t_prev = np.concatenate([[0.0], tv[:-1]])
     by_key = {}
@@ -180,12 +180,12 @@ def test_aniso_sup_form_dominated_by_integral_form():
 def test_rearrangement_modulus_hard_constants():
     rng = np.random.default_rng(89)
     f1 = make_grid_function(rng.uniform(0, 1, size=8), 0.125)
-    reps = verify_rearrangement_modulus(f1, 1.0, [0.125, 0.25, 0.5])
+    reps = verify_rearrangement_modulus(Member(f1), 1.0, [0.125, 0.25, 0.5])
     assert all(r.budget == 2.0 and r.verdict == "pass" for r in reps)
     with pytest.raises(ParameterError):
-        verify_rearrangement_modulus(f1, 1.0, [0.6])
+        verify_rearrangement_modulus(Member(f1), 1.0, [0.6])
     f2 = make_grid_function(rng.uniform(0, 1, size=(4, 4)), (0.5, 0.5))
-    reps2 = verify_rearrangement_modulus(f2, 2.0, [0.3, 0.8])
+    reps2 = verify_rearrangement_modulus(Member(f2), 2.0, [0.3, 0.8])
     assert all(r.budget == 9.0 and r.verdict == "pass" for r in reps2)
 
 
@@ -213,7 +213,7 @@ def test_axis_decrement_bound_and_guards():
     rng = np.random.default_rng(97)
     f = iterated_rearrangement(
         make_grid_function(rng.uniform(0, 2, size=(5, 5)), (0.4, 0.4)), (0, 1))
-    reps = verify_axis_decrement(f, 1.0, [2.0, 4.0], [0.4, 0.8])
+    reps = verify_axis_decrement(Member(f), 1.0, [2.0, 4.0], [0.4, 0.8])
     assert all(r.verdict == "pass" for r in reps)
     assert {r.budget for r in reps} == {8.0, 16.0}
     with pytest.raises(ParameterError):
@@ -239,7 +239,7 @@ def test_box_operator_reports_hold():
     rng = np.random.default_rng(101)
     phi = iterated_rearrangement(
         make_grid_function(rng.uniform(0, 1, size=(4, 4)), (0.5, 0.5)), (0, 1))
-    reps = verify_box_operator(phi, [1.0, 2.0], [-0.5, 0.5, 2.0])
+    reps = verify_box_operator(Member(phi), [1.0, 2.0], [-0.5, 0.5, 2.0])
     ids = [r.inequality_id for r in reps]
     assert ids.count("box-operator-pointwise") == 1
     assert all(r.verdict == "pass" for r in reps)
@@ -251,20 +251,20 @@ def test_box_operator_reports_hold():
 def test_fractional_sobolev_guards_and_reports():
     x = (np.arange(16) + 0.5) / 16
     f = make_grid_function(np.minimum(x, 1 - x), 1 / 16)
-    reps = verify_fractional_sobolev(f, 1.0, 0.5)
+    reps = verify_fractional_sobolev(Member(f), 1.0, 0.5)
     assert [r.inequality_id for r in reps] == [
         "fractional-sobolev", "fractional-sobolev-lorentz"]
     assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in reps)
     with pytest.raises(ParameterError):
-        verify_fractional_sobolev(f, 1.0, 0.25)
+        verify_fractional_sobolev(Member(f), 1.0, 0.25)
     with pytest.raises(ParameterError):
-        verify_fractional_sobolev(f, 2.0, 0.75)  # p >= n/alpha
+        verify_fractional_sobolev(Member(f), 2.0, 0.75)  # p >= n/alpha
 
 
 def test_gagliardo_limit_converges_on_hat():
     x = (np.arange(64) + 0.5) / 64
     f = make_grid_function(np.minimum(x, 1 - x), 1 / 64)
-    trace = verify_gagliardo_limit(f, 1.0, 6)
+    trace = verify_gagliardo_limit(Member(f), 1.0, 6)
     assert trace.gaps[-1] < 0.05
     assert trace.gaps[-1] < trace.gaps[0]
 
@@ -273,17 +273,20 @@ def test_besov_limit_converges_on_hat():
     x = (np.arange(64) + 0.5) / 64
     f = make_grid_function(np.minimum(x, 1 - x), 1 / 64)
     for theta in [1.0, 2.0]:
-        trace = verify_limit_relations(f, 0, 1.0, theta, 8)
+        trace = verify_limit_relations(Member(f), 0, 1.0, theta, 8)
         assert trace.gaps[-1] < 0.05
     with pytest.raises(ParameterError):
-        verify_limit_relations(f, 0, 1.0, math.inf, 4)
+        verify_limit_relations(Member(f), 0, 1.0, math.inf, 4)
+    for k in (-1, 1):
+        with pytest.raises(ParameterError):
+            verify_limit_relations(Member(f), k, 1.0, 1.0, 4)
 
 
 def test_limiting_sweep_weighted_bounded_control_divergent():
     x = (np.arange(16) + 0.5) / 16
     hat = np.minimum(x, 1 - x)
     f = make_grid_function(np.minimum.outer(hat, hat), (1 / 16, 1 / 16))
-    tw, tc, reports = limiting_sweep(f, 1.0, (1.0, 1.0), 8)
+    tw, tc, reports = limiting_sweep(Member(f), 1.0, (1.0, 1.0), 8)
     assert not tw.truncated
     assert np.max(tw.values) <= 2.0 * tw.values[0]
     assert tc.values[-1] / tc.values[0] >= 5.0
@@ -291,7 +294,31 @@ def test_limiting_sweep_weighted_bounded_control_divergent():
                for r in reports)
 
 
-# --- shared modulus curves --------------------------------------------------------
+_SHIFT_VERIFIERS = {
+    "verify_modulus_lemmas": lambda m, s: verify_modulus_lemmas(m, 1.0, [0.25, s]),
+    "verify_anisotropic_estimate":
+        lambda m, s: verify_anisotropic_estimate(m, 1.0, (0, 1), [0.25, s]),
+    "verify_rearrangement_modulus": lambda m, s: verify_rearrangement_modulus(m, 1.0, [0.25, s]),
+    "verify_axis_decrement": lambda m, s: verify_axis_decrement(m, 1.0, [2.0], [0.25, s]),
+}
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.5])
+@pytest.mark.parametrize("name", sorted(_SHIFT_VERIFIERS))
+def test_verifiers_reject_non_positive_shifts(name, shift):
+    rng = np.random.default_rng(103)
+    f2 = iterated_rearrangement(
+        make_grid_function(rng.uniform(0.5, 1, size=(4, 4)), (0.25, 0.25)), (0, 1))
+    fs = [f2]
+    if name == "verify_rearrangement_modulus":
+        fs.append(make_grid_function(rng.uniform(0.5, 1, size=4), 0.125))
+    # a zero member takes the degenerate shortcut, which must not skip the check
+    for f in fs + [f.with_values(np.zeros(f.shape)) for f in fs]:
+        with pytest.raises(ParameterError):
+            _SHIFT_VERIFIERS[name](Member(f), shift)
+
+
+# --- the shared member record -----------------------------------------------------
 
 _CORPUS = dict(default_corpus(20240901))
 # one 1-D, one halfspace 2-D, one hat 2-D, one general 2-D and one 3-D member
@@ -300,49 +327,35 @@ _SHARED_CURVE_MEMBERS = ("hat-multilinear-20240903-0", "separable-exp-staircase-
                          "random-mdec-20240911-0")
 
 
-def _curves_for(f, p):
-    return [modulus_curve(f, k, p) for k in range(f.dims)]
-
-
 def _trace_fields(tr):
     return (tr.trace_id, tr.function_id, tr.param_name, tr.param_values.tolist(),
             tr.values.tolist(), tr.target, tr.truncated)
 
 
+def test_run_all_equals_the_single_experiments_concatenated():
+    corpus = list(_CORPUS.items())
+    whole = run_experiment("all", corpus)
+    parts = [run_experiment(name, corpus) for name in EXPERIMENTS]
+    assert whole.reports == [r for part in parts for r in part.reports]
+    assert ([_trace_fields(t) for t in whole.traces]
+            == [_trace_fields(t) for part in parts for t in part.traces])
+    assert whole.gauge_rows == [row for part in parts for row in part.gauge_rows]
+
+
 @pytest.mark.parametrize("fid", _SHARED_CURVE_MEMBERS)
-def test_verifier_reports_equal_with_and_without_shared_curves(fid, monkeypatch):
+def test_run_all_builds_each_member_curve_once(fid, monkeypatch):
     f = _CORPUS[fid]
-    top = max(f.extent)
-    deltas = [top * 2.0**-k for k in range(1, 9)]
-    orders = [tuple(range(f.dims)), tuple(reversed(range(f.dims)))]
-    params = derive_params(1.0, (0.6,) * f.dims, (2.0,) * f.dims, f.dims)
+    built = []
+    build = agf.verify.modulus_curve
 
-    def run(shared):
-        if not shared:
-            # the verifiers then hand curve=None down: every call builds its own curve
-            monkeypatch.setattr(agf.verify, "modulus_curve", lambda f, k, p: None)
-        curves_for = (lambda p: _curves_for(f, p)) if shared else (lambda p: None)
-        out = []
-        for p in (1.0, 2.0):
-            curves = curves_for(p)
-            out += verify_modulus_lemmas(f, p, deltas, function_id=fid)
-            if f.dims == 1:
-                out += verify_rearrangement_modulus(f, p, [2.0**-k for k in range(1, 5)])
-            else:
-                out += verify_rearrangement_modulus(f, p, deltas, orders, fid)
-            out += [verify_isotropic_estimate(f, p, d, function_id=fid, curves=curves)
-                    for d in deltas[:3]]
-        if params.admissible:
-            curves = curves_for(params.p)
-            out += verify_embedding(f, params, "lorentz", curves=curves)
-            out += verify_embedding(f, params, "mixed", order=orders[0], curves=curves)
-        if f.dims == 2:
-            tw, tc, reps = limiting_sweep(f, 1.0, (1.0, 1.0), 4, function_id=fid)
-            out += reps + [_trace_fields(tw), _trace_fields(tc)]
-        return out
+    def counted(g, k, p):
+        if g is f:
+            built.append((k, p))
+        return build(g, k, p)
 
-    shared = run(True)
-    assert run(False) == shared
+    monkeypatch.setattr(agf.verify, "modulus_curve", counted)
+    run_experiment("all", [(fid, f)])
+    assert built and len(built) == len(set(built))
 
 
 def test_modulus_lemmas_build_one_profile_per_axis(monkeypatch):
@@ -356,35 +369,8 @@ def test_modulus_lemmas_build_one_profile_per_axis(monkeypatch):
     monkeypatch.setattr(agf.moduli, "_shift_power_profile", counted)
     for f in (_CORPUS["random-general-20240910-1"], _CORPUS["random-mdec-20240911-0"]):
         calls.clear()
-        verify_modulus_lemmas(f, 2.0, [max(f.extent) * 2.0**-k for k in range(1, 17)])
+        verify_modulus_lemmas(Member(f), 2.0, [max(f.extent) * 2.0**-k for k in range(1, 17)])
         assert sorted(calls) == list(range(f.dims))
-
-
-_CURVES_ENTRY_POINTS = {
-    "verify_isotropic_estimate":
-        lambda f, params, curves: verify_isotropic_estimate(f, params.p, 0.5, curves=curves),
-    "verify_embedding": lambda f, params, curves: verify_embedding(f, params, curves=curves),
-    "_besov_product": lambda f, params, curves: _besov_product(f, params, True, curves=curves),
-    "verify_anisotropic_estimate":
-        lambda f, params, curves: verify_anisotropic_estimate(f, params.p, (0, 1), [0.5],
-                                                              curves=curves),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_CURVES_ENTRY_POINTS))
-def test_curves_for_other_axis_or_p_are_rejected(name):
-    call = _CURVES_ENTRY_POINTS[name]
-    rng = np.random.default_rng(83)
-    f = make_grid_function(rng.uniform(0, 1, size=(6, 5)), (0.4, 0.5))
-    params = derive_params(1.0, (0.5, 0.5), (2.0, 2.0), 2)
-    good = _curves_for(f, 1.0)
-    call(f, params, good)
-    for bad in (good[::-1], _curves_for(f, 2.0), good[:1]):
-        with pytest.raises(PreconditionError):
-            call(f, params, bad)
-    # the check does not depend on whether f is zero
-    with pytest.raises(PreconditionError):
-        call(f.with_values(np.zeros(f.shape)), params, good[::-1])
 
 
 def _aniso_per_pair_oracle(f, p, order, h_values, gauge):
@@ -416,26 +402,14 @@ def test_aniso_lattice_terms_hoisted_keep_the_bits(fid):
     f = _CORPUS[fid]
     hs = [max(f.extent) * 2.0**-k for k in range(1, 7)]
     for order in ((0, 1), (1, 0)):
-        gauge = build_gauge(f, order)
-        reps = verify_anisotropic_estimate(f, 1.0, order, hs, gauge=gauge, function_id=fid)
-        want = _aniso_per_pair_oracle(f, 1.0, order, hs, gauge)
+        reps = verify_anisotropic_estimate(Member(f, fid), 1.0, order, hs)
+        want = _aniso_per_pair_oracle(f, 1.0, order, hs, build_gauge(f, order))
         assert len(reps) == 2 * len(want)
         for ri, rs, w in zip(reps[::2], reps[1::2], want):
             if w is None:
                 assert ri.degenerate and rs.degenerate
             else:
                 assert (ri.lhs, ri.rhs, rs.lhs, rs.rhs) == w
-
-
-@pytest.mark.parametrize("fid", [fid for fid, f in _CORPUS.items() if f.dims == 2][::3])
-def test_aniso_estimate_with_shared_curves_keeps_the_bits(fid):
-    f = _CORPUS[fid]
-    hs = [max(f.extent) * 2.0**-k for k in range(1, 7)]
-    curves = _curves_for(f, 1.0)
-    for order in ((0, 1), (1, 0)):
-        gauge = build_gauge(f, order)
-        assert (verify_anisotropic_estimate(f, 1.0, order, hs, gauge, fid, curves=curves)
-                == verify_anisotropic_estimate(f, 1.0, order, hs, gauge, fid))
 
 
 def test_aniso_estimate_job_builds_one_curve_per_axis(monkeypatch):
@@ -503,18 +477,8 @@ def _isotropic_lhs_per_delta(f, p, delta):
 @pytest.mark.parametrize("fid", list(_CORPUS))
 def test_isotropic_estimate_with_shared_sums_keeps_the_bits(fid):
     f = _CORPUS[fid]
+    m = Member(f, fid)
     deltas = [max(f.extent) * 2.0**-k for k in range(1, 6)]
     for p in (1.0, 2.0):
-        sums = decrement_sums(f, p)
         for d in deltas:
-            shared = verify_isotropic_estimate(f, p, d, function_id=fid, sums=sums)
-            assert shared == verify_isotropic_estimate(f, p, d, function_id=fid)
-            assert shared.lhs == _isotropic_lhs_per_delta(f, p, d)
-
-
-def test_isotropic_estimate_rejects_sums_for_another_p():
-    f = _CORPUS["random-general-20240904-0"]
-    with pytest.raises(PreconditionError):
-        verify_isotropic_estimate(f, 1.0, 0.25, sums=decrement_sums(f, 2.0))
-    zero = f.with_values(np.zeros(f.shape))
-    assert verify_isotropic_estimate(zero, 1.0, 0.25, sums=decrement_sums(zero, 1.0)).degenerate
+            assert verify_isotropic_estimate(m, p, d).lhs == _isotropic_lhs_per_delta(f, p, d)
