@@ -173,7 +173,8 @@ plot 'traces.csv' using 4:5 with linespoints title 'trace values'
 """
 
 
-def _emit(outdir, result: ExperimentResult) -> None:
+def _emit(outdir, result: ExperimentResult) -> str:
+    """Write the files of one run into ``outdir``; returns the summary text."""
     os.makedirs(outdir, exist_ok=True)
     write_reports_csv(os.path.join(outdir, "reports.csv"), result.reports)
     # the optional files of an earlier run into the same directory must not
@@ -185,10 +186,12 @@ def _emit(outdir, result: ExperimentResult) -> None:
             write(path, rows)
         elif os.path.exists(path):
             os.remove(path)
+    summary = summarize(result.reports)
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
-        fh.write(summarize(result.reports))
+        fh.write(summary)
     with open(os.path.join(outdir, "plot.gp"), "w") as fh:
         fh.write(_PLOT_SCRIPT)
+    return summary
 
 
 def _threads(args, cfg) -> int:
@@ -266,9 +269,12 @@ def cmd_run(args, cfg) -> int:
     opts = _common_opts(args, cfg)
     result = run_experiment(args.experiment, corpus, budgets=budgets,
                             threads=threads, opts=opts)
-    _emit(args.out, result)
-    summary = summarize(result.reports)
-    print(summary, end="")
+    print(_emit(args.out, result), end="")
+    # a truncated trace may have no rows in traces.csv at all
+    for tr in result.traces:
+        if tr.truncated:
+            print(f"note: trace {tr.trace_id} of {tr.function_id} truncated after "
+                  f"{tr.values.size} points", file=sys.stderr)
     nfail = sum(1 for r in result.reports if r.verdict == "fail")
     if nfail:
         print(f"{nfail} failing reports", file=sys.stderr)

@@ -172,8 +172,8 @@ class Member:
         return self._item("star", lambda: decreasing_rearrangement(self.f))
 
     def sums(self, p: float) -> DecrementSums:
-        """``decrement_sums(f*, p)``."""
-        return self._item(("sums", p), lambda: decrement_sums(self.star, p))
+        """``decrement_sums(f*, p, n)``."""
+        return self._item(("sums", p), lambda: decrement_sums(self.star, p, self.f.dims))
 
     def gauge(self, order) -> AnisotropicGauge:
         """``build_gauge(f, order)``."""
@@ -184,31 +184,68 @@ class Member:
 # --- isotropic rearrangement estimate -------------------------------------------
 
 class DecrementSums(NamedTuple):
-    """The delta-free part of the isotropic estimate's left side, for one (f, p).
+    """The delta-free part of the isotropic estimate's left side, for one (f*, p, n).
 
     On the k-th step (left[k], right[k]] of f*, ``inner[k]`` is the integral
     over (0, t) of (f*(u) - f*(t))^p; ``tail`` is the same integral for t
-    beyond the support.  Building it costs O(K^2) for K steps.
+    beyond the support.  With e = p/n, ``steps[k]`` is the step's share
+    inner[k] (left[k]^(-e) - right[k]^(-e)) / e of the left side whenever the
+    cut delta^n lies at or below left[k] (0 for step 0, whose inner is 0).
+    Building them costs O(K^2) element work for K steps, in row blocks of at
+    most ``_SUMS_BLOCK`` elements (one row of K + 2 when K is larger).
     """
 
     left: np.ndarray
     right: np.ndarray
-    inner: tuple[float, ...]
+    inner: np.ndarray
     tail: float
+    steps: np.ndarray
 
 
-def decrement_sums(sf: StepFunction, p: float) -> DecrementSums:
-    """The ``DecrementSums`` at exponent p of f* = ``sf``.
+_SUMS_BLOCK = 1 << 15  # float64 elements in one row block of the inner sums
 
-    ``verify_isotropic_estimate`` reads them from ``Member.sums(p)``.
+
+def decrement_sums(sf: StepFunction, p: float, n: int) -> DecrementSums:
+    """The ``DecrementSums`` at exponent p of f* = ``sf`` of an n-dimensional f.
+
+    ``inner[k]`` is bit-identical to
+    ``np.sum((values[:k] - values[k]) ** p * widths[:k])``: each row's terms
+    lie behind one zero, and ``np.add.reduceat`` reduces such a run exactly
+    as ``np.sum`` reduces the terms alone.  ``verify_isotropic_estimate``
+    reads the sums from ``Member.sums(p)``.
     """
     bp = sf.breakpoints
     vals = sf.values
+    size = vals.size
     left = np.concatenate([[0.0], bp[:-1]])
     widths = bp - left
-    # inner integral is constant on each rearrangement step
-    inner = tuple(float(np.sum((vals[:k] - vals[k]) ** p * widths[:k])) for k in range(vals.size))
-    return DecrementSums(left, bp, inner, float(np.sum(vals**p * widths)))
+    # column c of a block row pairs step c - 1 with the row's step; column 0
+    # pairs a zero value and a zero width, which leads every row's run
+    vals_led = np.concatenate([[0.0], vals])
+    widths_led = np.concatenate([[0.0], widths])
+    inner = np.empty(size)
+    k0 = 0
+    while k0 < size:
+        # rows k0..k0+r-1; row k's run is its columns 0..k, and the last
+        # column is spare, so that the end of the last run is inside the block
+        r = min(size - k0, max(1, (math.isqrt((k0 + 1) ** 2 + 4 * _SUMS_BLOCK) - k0 - 1) // 2))
+        width = k0 + r + 1
+        block = np.subtract(vals_led[:width], vals[k0:k0 + r, None])
+        np.maximum(block, 0.0, out=block)  # f* is nonincreasing: clears column 0 and steps >= k
+        if p != 1.0:
+            block **= p
+        block *= widths_led[:width]
+        starts = np.arange(r) * width
+        runs = np.stack([starts, starts + 1 + np.arange(k0, k0 + r)], axis=1)
+        inner[k0:k0 + r] = np.add.reduceat(block.ravel(), runs.ravel())[::2]
+        k0 += r
+    e = p / n
+    # scalar powers: an array power may differ from them in the last bit
+    powers = np.array([b ** -e for b in bp.tolist()])
+    steps = np.zeros(size)
+    live = np.flatnonzero(inner[1:] > 0.0) + 1
+    steps[live] = inner[live] * (powers[live - 1] - powers[live]) / e
+    return DecrementSums(left, bp, inner, float(np.sum(vals**p * widths)), steps)
 
 
 def verify_isotropic_estimate(m: Member, p: float, delta: float) -> InequalityReport:
@@ -226,18 +263,23 @@ def verify_isotropic_estimate(m: Member, p: float, delta: float) -> InequalityRe
     n = m.f.dims
     sums = m.sums(p)
     params = {"p": p, "delta": delta, "isotropic_modulus": "max-over-axes"}
-    if not sums.inner:
+    if sums.inner.size == 0:
         return _degenerate("rearr-estimate", m.function_id, n, params)
-    left, bp = sums.left, sums.right
+    left, bp, inner = sums.left, sums.right, sums.inner
     lo_cut = delta**n
     e = p / n
-    lhs = 0.0
-    for k, inner in enumerate(sums.inner):
+    # the steps ending at or below the cut add nothing; step k straddles it
+    # and the steps after it lie wholly above it
+    k = int(np.searchsorted(bp, lo_cut, side="right"))
+    shares = np.zeros(bp.size - k + 2)  # 0, the shares of steps k.., the tail's
+    shares[1:-1] = sums.steps[k:]
+    if k < bp.size and inner[k] > 0.0:
         lo, hi = max(left[k], lo_cut), bp[k]
-        if inner > 0.0 and hi > lo:
-            lhs += inner * (lo ** (-e) - hi ** (-e)) / e
+        shares[1] = inner[k] * (lo ** (-e) - hi ** (-e)) / e
     tail_lo = max(bp[-1], lo_cut)
-    lhs += sums.tail * tail_lo ** (-e) / e
+    shares[-1] = sums.tail * tail_lo ** (-e) / e
+    # the running sum adds the shares left to right, one at a time
+    lhs = np.cumsum(shares)[-1]
     omega = max(curve(delta) for curve in m.curves(p))
     rhs = (omega / delta) ** p
     return _report("rearr-estimate", m.function_id, n, params, lhs, rhs)

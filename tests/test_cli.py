@@ -2,8 +2,10 @@ import os
 
 import pytest
 
-from agf import (AgfError, calibrate_from_reports, corpus_hash, default_corpus,
-                 load_budgets, run_experiment)
+import agf.cli
+from agf import (AgfError, CorpusSpec, Member, calibrate_from_reports, corpus_hash,
+                 default_corpus, generate_corpus, load_budgets, run_experiment,
+                 verify_gagliardo_limit)
 from agf.cli import _BUDGET_EXPERIMENTS, main, parse_config
 from agf.experiments import ExperimentResult
 
@@ -134,6 +136,39 @@ def test_report_prints_the_run_summary(tmp_path, budget_file, capsys):
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     assert capsys.readouterr().out == (out / "summary.txt").read_text()
+
+
+def test_run_prints_the_summary_it_wrote(tmp_path, budget_file, capsys, monkeypatch):
+    calls = []
+    summarize = agf.cli.summarize
+    monkeypatch.setattr(agf.cli, "summarize", lambda reports: calls.append(1) or summarize(reports))
+    out = tmp_path / "out"
+    assert main(["run", "all", "--out", str(out), "--budget", budget_file]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (out / "summary.txt").read_text()
+    assert len(calls) == 1
+    assert captured.err == ""  # the committed corpus has no truncated trace
+
+
+def test_run_notes_each_truncated_trace(tmp_path, budget_file, capsys, monkeypatch):
+    [(fid, big)] = generate_corpus(CorpusSpec("hat-multilinear", (10240,), (1 / 10240,), 4))
+    # past the size guard of the Gagliardo double integral: no points at all
+    trace = verify_gagliardo_limit(Member(big, fid), 1.0, 2)
+    assert trace.truncated and trace.values.size == 0
+
+    def with_trace(*args, **kwargs):
+        result = run_experiment(*args, **kwargs)
+        result.traces.append(trace)
+        return result
+
+    monkeypatch.setattr(agf.cli, "run_experiment", with_trace)
+    out = tmp_path / "out"
+    assert main(["run", "rearr-estimate", "--out", str(out), "--budget", budget_file]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"note: trace gagliardo-limit of {fid} truncated after 0 points\n"
+    assert captured.out == (out / "summary.txt").read_text()
+    assert (out / "traces.csv").read_text() == (
+        "trace_id,function_id,param_name,param_value,value,target,gap\n")
 
 
 _HEADER = "inequality_id,function_id,params_json,lhs,rhs,ratio,budget,verdict,truncation\n"

@@ -11,6 +11,7 @@ from agf import (
     InequalityReport,
     Member,
     ParameterError,
+    StepFunction,
     build_gauge,
     default_corpus,
     derive_params,
@@ -480,5 +481,87 @@ def test_isotropic_estimate_with_shared_sums_keeps_the_bits(fid):
     m = Member(f, fid)
     deltas = [max(f.extent) * 2.0**-k for k in range(1, 6)]
     for p in (1.0, 2.0):
+        for d in deltas:
+            assert verify_isotropic_estimate(m, p, d).lhs == _isotropic_lhs_per_delta(f, p, d)
+
+
+# --- the isotropic estimate's sums against their per-step oracles -----------------
+
+# the shapes of the larger seeded grids: 1-D of a few hundred cells, 2-D up to 48^2
+# (whose inner sums span many row blocks) and one 3-D member
+_LARGE_SPECS = (
+    CorpusSpec("random-mdec", (192,), (1 / 192,), 31),
+    CorpusSpec("random-general", (128,), (1 / 128,), 32),
+    CorpusSpec("random-mdec", (48, 48), (1 / 48, 1 / 48), 33),
+    CorpusSpec("random-general", (40, 40), (1 / 40, 1 / 40), 34),
+    CorpusSpec("separable-exp-staircase", (40, 32), (0.125, 0.25), 35),
+    CorpusSpec("random-mdec", (5, 5, 4), (0.5, 0.5, 0.5), 36),
+)
+_SUMS_MEMBERS = dict(default_corpus(7))
+for _spec in _LARGE_SPECS:
+    _SUMS_MEMBERS.update(generate_corpus(_spec))
+_SUMS_MEMBERS.update({
+    "one-cell": make_grid_function(np.array([2.5]), 0.5),
+    "constant": make_grid_function(np.full((3, 4), 1.5), (0.5, 0.25)),
+    "zero": make_grid_function(np.zeros((4, 4)), (0.25, 0.25)),
+})
+
+
+def _inner_per_step(sf, p):
+    """``inner[k]`` of the decrement sums, one ``np.sum`` per step."""
+    bp = sf.breakpoints
+    vals = sf.values
+    widths = bp - np.concatenate([[0.0], bp[:-1]])
+    return [float(np.sum((vals[:k] - vals[k]) ** p * widths[:k])) for k in range(vals.size)]
+
+
+@pytest.mark.parametrize("fid", list(_SUMS_MEMBERS))
+def test_decrement_sums_inner_equals_the_per_step_sums(fid):
+    f = _SUMS_MEMBERS[fid]
+    sf = decreasing_rearrangement(f)
+    for p in (1.0, 1.5, 2.0):
+        sums = agf.verify.decrement_sums(sf, p, f.dims)
+        assert sums.inner.tolist() == _inner_per_step(sf, p)
+        assert sums.tail == float(np.sum(sf.values**p * (sf.breakpoints - sums.left)))
+
+
+def test_decrement_sums_inner_with_ties_in_f_star():
+    sf = StepFunction(np.array([0.5, 1.0, 1.25, 2.0, 3.0, 3.5]),
+                      np.array([4.0, 4.0, 2.5, 2.5, 2.5, 0.5]))
+    for p in (1.0, 1.5, 2.0):
+        sums = agf.verify.decrement_sums(sf, p, 2)
+        assert sums.inner.tolist() == _inner_per_step(sf, p)
+        assert sums.inner[1] == 0.0 and sums.steps[1] == 0.0
+
+
+@pytest.mark.parametrize("block", [7, 300])
+def test_decrement_sums_keep_the_bits_in_any_block_size(block, monkeypatch):
+    # block 7 leaves one row per block, each wider than the block
+    f = _SUMS_MEMBERS["random-general-34-0"]
+    sf = decreasing_rearrangement(f)
+    monkeypatch.setattr(agf.verify, "_SUMS_BLOCK", block)
+    for p in (1.0, 1.5):
+        assert agf.verify.decrement_sums(sf, p, f.dims).inner.tolist() == _inner_per_step(sf, p)
+
+
+def _cut_deltas(f):
+    """Deltas whose cut delta^n falls below the first breakpoint and beyond the support."""
+    bp = decreasing_rearrangement(f).breakpoints
+    n = f.dims
+    return [0.5 * bp[0] ** (1.0 / n), 2.0 * bp[-1] ** (1.0 / n)]
+
+
+@pytest.mark.parametrize("fid", ["random-mdec-31-0", "random-general-32-0", "random-general-34-0",
+                                 "random-mdec-36-0", "hat-multilinear-14-0", "one-cell",
+                                 "constant"])
+def test_isotropic_lhs_equals_the_per_delta_oracle_at_the_cuts(fid):
+    f = _SUMS_MEMBERS[fid]
+    m = Member(f, fid)
+    deltas = _cut_deltas(f) + [max(f.extent) * 2.0**-k for k in range(0, 7)]
+    if f.dims == 1:
+        # the cut lands exactly on a breakpoint
+        bp = decreasing_rearrangement(f).breakpoints
+        deltas += [float(bp[0]), float(bp[1 % bp.size]), float(bp[bp.size // 2]), float(bp[-1])]
+    for p in (1.0, 1.5, 2.0):
         for d in deltas:
             assert verify_isotropic_estimate(m, p, d).lhs == _isotropic_lhs_per_delta(f, p, d)
