@@ -15,10 +15,11 @@ from .step import StepFunction, step_from_pieces
 from .rearrange import (axis_rearrangement, decreasing_rearrangement, distribution,
                         dyadic_decrement, is_mdec, iterated_rearrangement,
                         strict_order, strictify)
-from .moduli import (ModulusCurve, interval_modulus_1d, modulus_axioms_check,
-                     modulus_curve, partial_modulus, shift_difference_norm,
-                     shift_norm_integral, steklov_axis_derivative,
-                     steklov_derivative_norm, steklov_distance, steklov_mean)
+from .moduli import (ModulusCurve, interval_curve_1d, interval_modulus_1d,
+                     modulus_axioms_check, modulus_curve, partial_modulus,
+                     shift_difference_norm, shift_norm_integral, steklov_axis_derivative,
+                     steklov_derivative_norm, steklov_distance, steklov_distances,
+                     steklov_mean)
 from .norms import (BesovParams, LipschitzParams, besov_seminorm,
                     derive_lipschitz_params, derive_params, gagliardo_seminorm,
                     lipschitz_seminorm, lorentz_norm, mixed_lorentz_norm)

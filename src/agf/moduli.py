@@ -4,6 +4,13 @@ For a piecewise-constant representative the p-th power of the shift-difference
 norm is exactly piecewise linear in the shift h, with breakpoints at integer
 multiples of the cell size.  Everything here exploits that: moduli, their
 integrals, and their suprema are all closed-form, with no quadrature error.
+
+One shift-power profile per (f, k, p) carries all of it.  Its inner sums over
+pairs of cells j apart come from ``_diagonal_power_sums``, the blocked
+offset-sum pass that the Gagliardo seminorm of ``norms`` shares: O(N_k * size)
+array work, temporaries near ``_BLOCK`` elements and no Python step per
+shift.  The curve readers take an array of shifts, and ``steklov_distances``
+gives the Steklov distances of every window of one (f, k, p) in one call.
 """
 
 from __future__ import annotations
@@ -11,10 +18,59 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, PreconditionError
 from .grid import GridFunction
 from .rearrange import is_mdec
+
+_BLOCK = 1 << 15  # float64 elements in one array temporary of the offset sums
+
+
+def _diagonal_power_sums(moved: np.ndarray, fixed: np.ndarray, j0: int, p: float) -> np.ndarray:
+    """sum over rows r and y of |moved[r, y + j] - fixed[r, y]|^p for j = j0..L-1.
+
+    ``fixed`` is (rows, L); ``moved`` holds the same rows zero-padded to 2L.
+    Blocks of offsets j and of rows keep every temporary near ``_BLOCK``
+    elements.  Each offset's pairs are laid out contiguously behind one zero
+    and summed by ``np.add.reduceat``, which reduces such a run exactly as
+    ``np.sum`` reduces the pairs alone.  These are the inner sums of the
+    shift-power profile and the offset sums of the Gagliardo seminorm.
+    """
+    rows, size = fixed.shape
+    out = np.empty(size - j0)
+    j = j0
+    while j < size:
+        span = size - j  # pairs of offset j; the later offsets of a block have fewer
+        width = span + 2  # a zero, the pairs, one spare zero column
+        k = max(1, min(span, _BLOCK // width))
+        rows_per_block = max(1, _BLOCK // (k * width))
+        acc = np.zeros((k, width))
+        # windows[r, i, y] = moved[r, j + i + y]: a view of k + span - 1 columns
+        part = moved[:, j:j + k + span - 1]
+        windows = as_strided(part, (rows, k, span), part.strides + part.strides[1:],
+                             writeable=False)
+        for r in range(0, rows, rows_per_block):
+            diff = windows[r:r + rows_per_block] - fixed[r:r + rows_per_block, None, :span]
+            np.abs(diff, out=diff)
+            if p != 1.0:
+                np.power(diff, p, out=diff)
+            acc[:, 1:-1] += diff.sum(axis=0)
+        # the run of offset j + i: its zero, then its span - i pairs
+        starts = np.arange(k) * width
+        bounds = np.stack([starts, starts + 1 + span - np.arange(k)], axis=1)
+        out[j - j0:j - j0 + k] = np.add.reduceat(acc.ravel(), bounds.ravel())[::2]
+        j += k
+    return out
+
+
+def _axis_rows(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lines of ``values`` along axis k as rows, and those rows zero-padded to 2 N_k."""
+    n = values.shape[k]
+    rows = np.moveaxis(values, k, -1).reshape(-1, n)
+    padded = np.zeros((rows.shape[0], 2 * n))
+    padded[:, :n] = rows
+    return rows, padded
 
 
 def _shift_power_profile(f: GridFunction, k: int, p: float) -> np.ndarray:
@@ -22,21 +78,22 @@ def _shift_power_profile(f: GridFunction, k: int, p: float) -> np.ndarray:
 
     Zero extension outside the grid; for halfspace functions mass crossing the
     coordinate hyperplane x_k = 0 is not counted (shifts compared inside the
-    domain only).
+    domain only).  The inner sums over pairs j cells apart along axis k come
+    from ``_diagonal_power_sums`` in one blocked pass; the pairs that leave
+    the grid on either side are cumulative sums of the per-slice power sums.
+    The work is O(N_k * size) array work with temporaries near ``_BLOCK``.
     """
     if not 0 <= k < f.dims:
         raise ParameterError(f"axis {k} out of range for dims={f.dims}")
-    a = np.moveaxis(f.values, k, 0)
-    n = a.shape[0]
-    v = f.cell_volume
-    powsum = lambda x: float(np.sum(np.abs(x) ** p, dtype=np.float64))
-    out = np.empty(n + 1, dtype=np.float64)
-    out[0] = 0.0
-    for j in range(1, n + 1):
-        inner = powsum(a[j:] - a[:-j]) if j < n else 0.0
-        right = powsum(a[n - j:])
-        left = 0.0 if f.halfspace else powsum(a[:j])
-        out[j] = (inner + right + left) * v
+    rows, padded = _axis_rows(f.values, k)
+    n = rows.shape[1]
+    slices = np.sum(np.abs(rows) ** p, axis=0)
+    out = np.zeros(n + 1)
+    out[1:n] = _diagonal_power_sums(padded, rows, 1, p)
+    out[1:] += np.cumsum(slices[::-1])
+    if not f.halfspace:
+        out[1:] += np.cumsum(slices)
+    out *= f.cell_volume
     return out
 
 
@@ -45,14 +102,8 @@ def shift_difference_norm(f: GridFunction, k: int, h: float, p: float) -> float:
     return modulus_curve(f, k, p).shift_norm(h)
 
 
-def _interp_profile(prof: np.ndarray, c: float, h: float) -> float:
-    """Evaluate the piecewise-linear p-th power profile at shift h >= 0."""
-    jmax = prof.size - 1
-    if h >= jmax * c:
-        return float(prof[-1])
-    m = int(h // c)
-    s = h - m * c
-    return float(((c - s) * prof[m] + s * prof[min(m + 1, jmax)]) / c)
+def _scalar_or_array(out: np.ndarray):
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -61,7 +112,8 @@ class ModulusCurve:
 
     ``deltas`` starts at 0 with omega(0) = 0; the curve is constant beyond the
     last node.  Linear interpolation of omega^p is exact for piecewise-constant
-    representatives, including below the cell scale.
+    representatives, including below the cell scale.  Every reader takes a
+    scalar or an array of shifts.
     """
 
     axis: int
@@ -80,7 +132,7 @@ class ModulusCurve:
     def power_at(self, delta):
         delta = np.asarray(delta, dtype=np.float64)
         out = np.interp(delta, self.deltas, self.omega_p)
-        return out if out.ndim else float(out)
+        return _scalar_or_array(out)
 
     def __call__(self, delta):
         return self.power_at(delta) ** (1.0 / self.p)
@@ -89,62 +141,93 @@ class ModulusCurve:
     def sup_value(self) -> float:
         return float(self.omega_p[-1]) ** (1.0 / self.p)
 
-    def shift_norm(self, h: float) -> float:
+    def shift_norm(self, h):
         """Exact I_k(f; h)_p for arbitrary real h via the piecewise-linear identity."""
-        return _interp_profile(self.profile, self.cell_size, abs(h)) ** (1.0 / self.p)
+        prof, c = self.profile, self.cell_size
+        h = np.abs(np.asarray(h, dtype=np.float64))
+        jmax = prof.size - 1
+        m = np.minimum(h // c, jmax)
+        s = h - m * c
+        m = m.astype(np.intp)
+        power = ((c - s) * prof[m] + s * prof[np.minimum(m + 1, jmax)]) / c
+        power = np.where(h >= jmax * c, prof[-1], power)
+        return _scalar_or_array(power ** (1.0 / self.p))
 
-    def shift_integral(self, delta: float) -> float:
-        """Exact ``integral_0^delta I_k(f; h)_p dh`` (closed form per linear piece)."""
+    def shift_integral(self, delta):
+        """Exact ``integral_0^delta I_k(f; h)_p dh`` (closed form per linear piece).
+
+        The pieces between the nodes j*c are added left to right, and the
+        piece up to delta is added last.
+        """
         prof, c, p = self.profile, self.cell_size, self.p
-        total = 0.0
-        h0 = 0.0
-        j = 0
-        while h0 < delta:
-            h1 = min((j + 1) * c, delta)
-            if j >= prof.size - 1:
-                total += float(prof[-1]) ** (1.0 / p) * (delta - h0)
-                break
-            lo, hi = float(prof[j]), float(prof[j + 1])
-            b = (hi - lo) / c
-            a = lo - b * j * c
-            if b == 0.0:
-                total += a ** (1.0 / p) * (h1 - h0)
-            else:
-                e = 1.0 + 1.0 / p
-                total += ((a + b * h1) ** e - (a + b * h0) ** e) / (b * e)
-            h0 = h1
-            j += 1
-        return total
+        delta = np.asarray(delta, dtype=np.float64)
+        jmax = prof.size - 1
+        slope = (prof[1:] - prof[:-1]) / c  # of I^p on [j c, (j + 1) c]
+        before = np.concatenate([[0.0], np.cumsum(_power_pieces(prof[:-1], slope, c, p))])
+        # the nodes j*c below delta start its pieces: (last - 1) c < delta <= last c
+        d = np.atleast_1d(delta)
+        last = np.searchsorted(np.arange(jmax + 1) * c, d, side="left")
+        out = np.zeros(d.shape)
+        inside = (last >= 1) & (last <= jmax)
+        seg = last[inside] - 1
+        out[inside] = before[seg] + _power_pieces(prof[seg], slope[seg], d[inside] - seg * c, p)
+        tail = last > jmax
+        out[tail] = before[-1] + float(prof[-1]) ** (1.0 / p) * (d[tail] - jmax * c)
+        return _scalar_or_array(out.reshape(delta.shape))
+
+
+def _power_pieces(u0, slope, span, p: float) -> np.ndarray:
+    """integral from 0 to span of (u0 + slope h)^(1/p) dh, elementwise.
+
+    With x = slope span / u0 and e = 1 + 1/p the integral is
+    span u0^(1/p) ((1 + x)^e - 1) / (e x).  Taken through ``expm1`` and
+    ``log1p`` for |x| < 1, it keeps full relative accuracy on nearly flat
+    pieces, where the difference of the two end powers cancels.
+    """
+    u0, slope, span = np.broadcast_arrays(u0, slope, span)
+    e = 1.0 + 1.0 / p
+    rise = slope * span
+    out = np.empty(u0.shape)
+    flat = rise == 0.0
+    out[flat] = u0[flat] ** (1.0 / p) * span[flat]
+    mild = ~flat & (np.abs(rise) < u0)
+    x = rise[mild] / u0[mild]
+    out[mild] = span[mild] * u0[mild] ** (1.0 / p) * np.expm1(e * np.log1p(x)) / (e * x)
+    steep = ~flat & ~mild
+    u1 = np.maximum(u0[steep] + rise[steep], 0.0)
+    out[steep] = (u1**e - u0[steep] ** e) / (slope[steep] * e)
+    return out
 
 
 def _running_max_curve(prof: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Running max of a piecewise-linear profile, with crossing nodes inserted."""
-    deltas = [0.0]
-    wp = [float(prof[0])]
-    m = float(prof[0])
-    for j in range(prof.size - 1):
-        lo, hi = float(prof[j]), float(prof[j + 1])
-        t0, t1 = j * c, (j + 1) * c
-        if hi <= m:
-            deltas.append(t1)
-            wp.append(m)
-        else:
-            if lo < m:
-                t_star = t0 + c * (m - lo) / (hi - lo)
-                if t_star > deltas[-1]:
-                    deltas.append(t_star)
-                    wp.append(m)
-            deltas.append(t1)
-            wp.append(hi)
-            m = hi
-    # drop redundant collinear flat nodes
-    d = np.asarray(deltas)
-    w = np.asarray(wp)
-    keep = np.ones(d.size, dtype=bool)
-    for i in range(1, d.size - 1):
-        if w[i] == w[i - 1] and w[i] == w[i + 1]:
-            keep[i] = False
-    return d[keep], w[keep]
+    """Running max of a piecewise-linear profile, with crossing nodes inserted.
+
+    Segment j runs from node j*c to (j + 1)*c.  Where it rises above the
+    running max m of the earlier nodes from below m, the crossing
+    j*c + c (m - lo) / (hi - lo) becomes a node.  Interior nodes level with
+    both neighbours are dropped; that also drops the node j*c when the
+    crossing rounds onto it, since both sit at m after a node at m.
+    """
+    top = np.maximum.accumulate(prof)
+    lo, hi, m = prof[:-1], prof[1:], top[:-1]
+    size = lo.size
+    # node 0, then per segment its crossing node (if any) and its end node
+    d = np.empty(2 * size + 1)
+    w = np.empty(2 * size + 1)
+    keep = np.ones(2 * size + 1, dtype=bool)
+    d[0], w[0] = 0.0, prof[0]
+    d[2::2] = np.arange(1, size + 1) * c
+    w[2::2] = top[1:]
+    w[1::2] = m
+    cross = (hi > m) & (lo < m)
+    t0 = np.arange(size)[cross] * c
+    t_star = t0 + c * (m[cross] - lo[cross]) / (hi[cross] - lo[cross])
+    d[1::2][cross] = t_star
+    keep[1::2] = cross
+    d, w = d[keep], w[keep]
+    flat = np.zeros(d.size, dtype=bool)
+    flat[1:-1] = (w[1:-1] == w[:-2]) & (w[1:-1] == w[2:])
+    return d[~flat], w[~flat]
 
 
 def modulus_curve(f: GridFunction, k: int, p: float) -> ModulusCurve:
@@ -176,25 +259,31 @@ def shift_norm_integral(f: GridFunction, k: int, delta: float, p: float) -> floa
     return modulus_curve(f, k, p).shift_integral(delta)
 
 
-def interval_modulus_1d(f: GridFunction, delta: float, p: float) -> float:
-    """Partial modulus of a 1-D function on the interval [0, extent], no extension.
+def interval_curve_1d(f: GridFunction, p: float) -> ModulusCurve:
+    """Modulus curve of a 1-D function on the interval [0, extent], no extension.
 
     This is the [0, 1]-setting modulus: shifted differences are integrated over
-    x with both x and x + h inside the interval.  Exact via the same
-    piecewise-linear-in-h identity.
+    x with both x and x + h inside the interval, so the profile is the inner
+    sums of ``_diagonal_power_sums`` alone, zero from h = extent on.  Exact via
+    the same piecewise-linear-in-h identity.
     """
     if f.dims != 1:
         raise PreconditionError("interval modulus is defined for 1-D functions")
-    a = f.values
-    n = a.size
+    rows, padded = _axis_rows(f.values, 0)
+    n = rows.shape[1]
     c = f.cell_sizes[0]
-    jmax = min(n, int(np.floor(delta / c)) + 1)
-    prof = np.empty(jmax + 1, dtype=np.float64)
-    for j in range(jmax + 1):
-        prof[j] = float(np.sum(np.abs(a[j:] - a[: n - j]) ** p)) * c if j < n else 0.0
+    prof = np.zeros(n + 1)
+    prof[1:n] = _diagonal_power_sums(padded, rows, 1, p) * c
     d, w = _running_max_curve(prof, c)
-    curve = ModulusCurve(0, p, d, w, prof, c)
-    return float(curve(min(delta, jmax * c)))
+    return ModulusCurve(0, p, d, w, prof, c)
+
+
+def interval_modulus_1d(f: GridFunction, delta: float, p: float) -> float:
+    """Partial modulus of a 1-D function on the interval [0, extent], no extension.
+
+    ``interval_curve_1d(f, p)`` read at delta.
+    """
+    return float(interval_curve_1d(f, p)(delta))
 
 
 # --- Steklov means ------------------------------------------------------------
@@ -207,9 +296,8 @@ def _steklov_weights(h: float, c: float) -> np.ndarray:
     m = int(h // c)
     s0 = h - m * c
     w = np.zeros(m + 2, dtype=np.float64)
-    for l in range(m):
-        w[l] += c / 2.0
-        w[l + 1] += c / 2.0
+    w[:m] += c / 2.0
+    w[1:m + 1] += c / 2.0
     if s0 > 0:
         w[m] += (c * s0 - s0 * s0 / 2.0) / c
         w[m + 1] += (s0 * s0 / 2.0) / c
@@ -282,6 +370,66 @@ def steklov_distance(f: GridFunction, h: float, j: int, p: float) -> float:
     emb = np.pad(f.values, pad)
     diff = np.abs(emb - fh.values)
     return (float(np.sum(diff**p, dtype=np.float64)) * f.cell_volume) ** (1.0 / p)
+
+
+def steklov_distances(f: GridFunction, curve: ModulusCurve, hs) -> np.ndarray:
+    """``steklov_distance(f, h, j, p)`` for every window h in ``hs`` at once.
+
+    ``curve`` is ``modulus_curve(f, j, p)``, which carries j and p; ``f`` is
+    a full-space (not halfspace) function.  For 0 < h <= c the cell-averaged
+    mean is (1 - t) f + t f(. + c e_j) with t = h / (2c), so the distance is
+    t I_j(f; c)_p, read from the curve.  The longer windows go through
+    ``_window_distances`` together.
+    """
+    if f.halfspace:
+        raise PreconditionError("the Steklov distance compares on the full space; "
+                                "pass the zero extension (halfspace=False)")
+    hs = np.asarray(hs, dtype=np.float64)
+    if np.any(hs <= 0):
+        raise ParameterError(f"window h must be > 0, got {hs[hs <= 0][0]}")
+    c = curve.cell_size
+    out = np.empty(hs.shape)
+    short = hs <= c
+    out[short] = hs[short] / (2.0 * c) * curve.shift_norm(c)
+    out[~short] = _window_distances(f, hs[~short], curve.axis, curve.p)
+    return out
+
+
+def _window_distances(f: GridFunction, hs: np.ndarray, j: int, p: float) -> np.ndarray:
+    """||f - f_{h,j}||_p for windows h longer than a cell, by direct weighted sums.
+
+    f_h at a cell is the sum over window offsets l of the nonnegative weights
+    ``_steklov_weights(h, c)[l] / h`` times f at offset l, added in the order
+    of l, as ``steklov_mean`` adds them; no prefix-sum differences, which
+    cancel.  Windows and lines of axis j go in blocks whose accumulator holds
+    about ``_BLOCK`` elements (at least one window and one line).
+    """
+    c = f.cell_sizes[j]
+    lines = np.moveaxis(f.values, j, 0).reshape(f.shape[j], -1)
+    n, count = lines.shape
+    # cells the longest window adds on the low side: its weights have ext + 1 entries
+    ext = int(np.max(hs, initial=0.0) // c) + 1
+    length = n + ext
+    per_block = max(1, _BLOCK // length)
+    group = max(1, per_block // min(count, per_block))
+    totals = np.zeros(hs.size)
+    for g in range(0, hs.size, group):
+        windows = hs[g:g + group]
+        table = np.zeros((windows.size, int(np.max(windows) // c) + 2))
+        for i, h in enumerate(windows):
+            w = _steklov_weights(h, c) / h
+            table[i, :w.size] = w
+        for r in range(0, count, per_block):
+            block = lines[:, r:r + per_block]
+            acc = np.zeros((table.shape[0], length, block.shape[1]))
+            for l in range(table.shape[1]):
+                acc[:, ext - l:ext - l + n] += table[:, l, None, None] * block
+            acc[:, ext:] -= block
+            np.abs(acc, out=acc)
+            if p != 1.0:
+                np.power(acc, p, out=acc)
+            totals[g:g + group] += acc.sum(axis=(1, 2))
+    return (totals * f.cell_volume) ** (1.0 / p)
 
 
 # --- modulus axioms -----------------------------------------------------------

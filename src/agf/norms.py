@@ -6,7 +6,8 @@ which is exact to machine precision at the scales used here; all panels of a
 curve are evaluated in one array pass).  The Gagliardo seminorm is a sum over
 cell offsets: the pair kernel depends only on the offset o, so the double sum
 is 2 sum_o K(o) S(o) with S(o) = sum_x |f(x+o) - f(x)|^p.  The S(o) of all
-offsets along the last axis are formed in one blocked array pass, one Python
+offsets along the last axis are formed in one blocked array pass (by the
+helper that also builds the shift-power profiles of ``moduli``), one Python
 step per offset of the leading axes.  In 1-D the kernel is exact; in higher
 dimensions it is the midpoint rule with a refined near-diagonal rule.  The
 work stays quadratic in the cell count, so it is guarded at 10^4 cells.
@@ -20,11 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, PreconditionError, ResourceError
 from .grid import GridFunction
-from .moduli import ModulusCurve
+from .moduli import ModulusCurve, _diagonal_power_sums
 from .rearrange import is_mdec
 from .step import StepFunction
 
@@ -197,7 +197,6 @@ def besov_seminorm(curve: ModulusCurve, alpha: float, theta: float) -> float:
 # --- Gagliardo ----------------------------------------------------------------
 
 _SIZE_GUARD = 10_000
-_BLOCK = 1 << 15  # float64 elements in one array temporary of the offset sums
 
 
 def gagliardo_seminorm(f: GridFunction, alpha: float, p: float) -> float:
@@ -249,7 +248,8 @@ def _offset_power_sums(values: np.ndarray, p: float):
 
     Returns ``(offsets, sums)``: an (m, n) integer array and the m sums.  The
     offsets of the leading axes are visited one by one; along the last axis
-    all offsets are formed at once by ``_diagonal_power_sums``.  In 1-D,
+    all offsets are formed at once by ``moduli._diagonal_power_sums``, the
+    helper that also gives the inner sums of the shift-power profile.  In 1-D,
     S(o) is bit-identical to ``np.sum(np.abs(f[o:] - f[:-o]) ** p)``.
     """
     shape = values.shape
@@ -279,39 +279,6 @@ def _offset_power_sums(values: np.ndarray, p: float):
         offsets.append(np.concatenate([lead_cols, last[:, None]], axis=1))
         sums.append(s_lead)
     return np.concatenate(offsets), np.concatenate(sums)
-
-
-def _diagonal_power_sums(moved: np.ndarray, fixed: np.ndarray, j0: int, p: float) -> np.ndarray:
-    """sum over rows r and y of |moved[r, y + j] - fixed[r, y]|^p for j = j0..L-1.
-
-    ``fixed`` is (rows, L); ``moved`` holds the same rows zero-padded to 2L.
-    Blocks of offsets j and of rows keep every temporary near ``_BLOCK``
-    elements.  Each offset's pairs are laid out contiguously behind one zero
-    and summed by ``np.add.reduceat``, which reduces such a run exactly as
-    ``np.sum`` reduces the pairs alone.
-    """
-    rows, size = fixed.shape
-    out = np.empty(size - j0)
-    j = j0
-    while j < size:
-        span = size - j  # pairs of offset j; the later offsets of a block have fewer
-        width = span + 2  # a zero, the pairs, one spare zero column
-        k = max(1, min(span, _BLOCK // width))
-        rows_per_block = max(1, _BLOCK // (k * width))
-        acc = np.zeros((k, width))
-        windows = sliding_window_view(moved[:, j:j + k + span - 1], span, axis=1)
-        for r in range(0, rows, rows_per_block):
-            diff = windows[r:r + rows_per_block] - fixed[r:r + rows_per_block, None, :span]
-            np.abs(diff, out=diff)
-            if p != 1.0:
-                np.power(diff, p, out=diff)
-            acc[:, 1:-1] += diff.sum(axis=0)
-        # the run of offset j + i: its zero, then its span - i pairs
-        starts = np.arange(k) * width
-        bounds = np.stack([starts, starts + 1 + span - np.arange(k)], axis=1)
-        out[j - j0:j - j0 + k] = np.add.reduceat(acc.ravel(), bounds.ravel())[::2]
-        j += k
-    return out
 
 
 def _gagliardo_1d_exact(f: GridFunction, alpha: float, p: float) -> float:

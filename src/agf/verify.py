@@ -23,7 +23,7 @@ from .errors import ParameterError, PreconditionError, ResourceError
 from .geometry import (AnisotropicGauge, box_average_field, box_weights, build_gauge,
                        contract_axes)
 from .grid import GridFunction, make_grid_function
-from .moduli import ModulusCurve, interval_modulus_1d, modulus_curve, steklov_distance
+from .moduli import ModulusCurve, interval_curve_1d, modulus_curve, steklov_distances
 from .norms import (
     BesovParams,
     _leggauss,
@@ -146,8 +146,9 @@ class Member:
 
     Each item is built on first use and kept for the life of the record: the
     modulus curves of f per axis at exponent p (``curves(p)``), its decreasing
-    rearrangement (``star``), the decrement sums at p (``sums(p)``) and the
-    gauge of a rearrangement order (``gauge(order)``).
+    rearrangement (``star``), the decrement sums at p (``sums(p)``), the
+    gauge of a rearrangement order (``gauge(order)``) and the record of the
+    iterated rearrangement of an order (``iterated(order)``).
     """
 
     def __init__(self, f: GridFunction, function_id: str = ""):
@@ -179,6 +180,12 @@ class Member:
         """``build_gauge(f, order)``."""
         order = tuple(int(k) for k in order)
         return self._item(("gauge", order), lambda: build_gauge(self.f, order))
+
+    def iterated(self, order) -> Member:
+        """The record of ``iterated_rearrangement(f, order)``."""
+        order = tuple(int(k) for k in order)
+        return self._item(("iterated", order), lambda: Member(
+            iterated_rearrangement(self.f, order), self.function_id))
 
 
 # --- isotropic rearrangement estimate -------------------------------------------
@@ -412,7 +419,7 @@ def verify_embedding(m: Member, params: BesovParams, flavor: str = "lorentz",
     else:
         if order is None:
             raise ParameterError("mixed flavor requires a rearrangement order")
-        lhs = mixed_lorentz_norm(iterated_rearrangement(f, order), q, theta)
+        lhs = mixed_lorentz_norm(m.iterated(order).f, q, theta)
     rhs, semis = _besov_product(m, params, with_factors=True)
     trunc = ""
     if math.isinf(rhs):
@@ -623,33 +630,30 @@ def verify_rearrangement_modulus(m: Member, p: float, deltas) -> list[Inequality
     zero = f.support_cells == 0
     if n == 1:
         vals = _unit_interval_values(f)
-        g = make_grid_function(vals, f.cell_sizes)
-        gstar = make_grid_function(np.sort(vals)[::-1], f.cell_sizes)
         for delta in deltas:
             if delta > 0.5:
                 raise ParameterError(f"the interval comparison needs delta <= 1/2, got {delta}")
-            params = {"p": p, "delta": float(delta)}
-            if zero:
-                reports.append(_degenerate("rearrangement-modulus-1d", function_id, n, params))
-                continue
-            lhs = interval_modulus_1d(gstar, delta, p)
-            rhs = interval_modulus_1d(g, delta, p)
-            reports.append(_report("rearrangement-modulus-1d", function_id, n,
-                                   params, lhs, rhs))
-        return reports
+        params = [{"p": p, "delta": float(delta)} for delta in deltas]
+        if zero:
+            return [_degenerate("rearrangement-modulus-1d", function_id, n, prm) for prm in params]
+        # one interval curve each for g and g*, read at every delta
+        g_curve = interval_curve_1d(make_grid_function(vals, f.cell_sizes), p)
+        star_curve = interval_curve_1d(make_grid_function(np.sort(vals)[::-1], f.cell_sizes), p)
+        return [_report("rearrangement-modulus-1d", function_id, n, prm,
+                        star_curve(delta), g_curve(delta))
+                for prm, delta in zip(params, deltas)]
     # each curve is built once and shared by every delta (and, for f, every order)
     f_curves = None if zero else m.curves(p)
     for order in (tuple(range(n)), tuple(reversed(range(n)))):
-        rf = iterated_rearrangement(f, order)
+        rf_curves = None if zero else m.iterated(order).curves(p)
         for k in range(n):
-            rf_curve = None if zero else modulus_curve(rf, k, p)
             for delta in deltas:
                 params = {"p": p, "delta": float(delta), "axis": k, "order": list(order)}
                 if zero:
                     reports.append(_degenerate("rearrangement-modulus-axes", function_id,
                                                n, params))
                     continue
-                lhs = rf_curve(delta)
+                lhs = rf_curves[k](delta)
                 rhs = f_curves[k](delta)
                 reports.append(_report("rearrangement-modulus-axes", function_id, n,
                                        params, lhs, rhs))
@@ -675,25 +679,23 @@ def verify_modulus_lemmas(m: Member, p: float, deltas) -> list[InequalityReport]
         m = Member(f, function_id)
     n = f.dims
     zero = f.support_cells == 0
+    ids = ("modulus-mean-bound", "steklov-distance", "steklov-derivative")
+    d = np.asarray(deltas, dtype=np.float64)
     for k in range(n):
+        params = [{"p": p, "axis": k, "delta": float(x)} for x in deltas]
+        if zero:
+            reports.extend(_degenerate(iid, function_id, n, prm) for prm in params for iid in ids)
+            continue
         # one curve per axis carries the profile every delta reads
-        curve = None if zero else m.curves(p)[k]
-        for d in deltas:
-            params = {"p": p, "axis": k, "delta": float(d)}
-            if zero:
-                for iid in ("modulus-mean-bound", "steklov-distance", "steklov-derivative"):
-                    reports.append(_degenerate(iid, function_id, n, params))
-                continue
-            omega = curve(d)
-            reports.append(_report(
-                "modulus-mean-bound", function_id, n, params,
-                omega, curve.shift_integral(d) / d))
-            reports.append(_report(
-                "steklov-distance", function_id, n, params,
-                steklov_distance(f, d, k, p), omega))
-            reports.append(_report(
-                "steklov-derivative", function_id, n, params,
-                curve.shift_norm(d) / d, omega / d))
+        curve = m.curves(p)[k]
+        omega = curve(d)
+        columns = zip(omega.tolist(), (curve.shift_integral(d) / d).tolist(),
+                      steklov_distances(f, curve, d).tolist(),
+                      (curve.shift_norm(d) / d).tolist(), (omega / d).tolist())
+        for prm, (om, mean, dist, slope, om_slope) in zip(params, columns):
+            reports.append(_report("modulus-mean-bound", function_id, n, prm, om, mean))
+            reports.append(_report("steklov-distance", function_id, n, prm, dist, om))
+            reports.append(_report("steklov-derivative", function_id, n, prm, slope, om_slope))
     return reports
 
 
