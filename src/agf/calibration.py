@@ -48,8 +48,11 @@ def calibrate_from_reports(reports: list[InequalityReport], corpus_hash: str,
     """Fold verifier reports into per-inequality budgets (margin x max ratio).
 
     Inequalities with a hard constant in ``INEQUALITIES`` are skipped;
-    degenerate and infinite-ratio reports do not contribute.
+    degenerate and infinite-ratio reports do not contribute.  A margin that
+    is not finite and > 0 raises ``ValidationError``.
     """
+    if not (math.isfinite(margin) and margin > 0):
+        raise ValidationError(f"calibration margin must be finite and > 0, got {margin!r}")
     max_ratios: dict[str, float] = {}
     for rep in reports:
         if INEQUALITIES.get(rep.inequality_id) is not None or rep.degenerate:

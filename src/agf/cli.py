@@ -64,6 +64,15 @@ def _number(kind, value, source):
                        f"got {value!r}") from None
 
 
+def _positive(kind, value, source):
+    """``_number`` of a count or margin, which must also be finite and > 0."""
+    x = _number(kind, value, source)
+    if not (math.isfinite(x) and x > 0):
+        raise AgfError(f"{source} must be {'an integer >= 1' if kind is int else 'finite and > 0'}, "
+                       f"got {value!r}")
+    return x
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -199,20 +208,18 @@ def _threads(args, cfg) -> int:
         return args.threads
     cfg_t = _cfg_scalar(cfg, "threads")
     if cfg_t is not None:
-        return _number(int, cfg_t, "config key threads")
+        return _positive(int, cfg_t, "config key threads")
     env = os.environ.get("AGF_THREADS")
-    return _number(int, env, "AGF_THREADS") if env else 1
+    return _positive(int, env, "AGF_THREADS") if env else 1
 
 
 def _common_opts(args, cfg) -> dict:
-    opts = {}
-    m_max = args.m_max if getattr(args, "m_max", None) is not None \
-        else _cfg_scalar(cfg, "m-max")
+    if args.m_max is not None:
+        return {"m_max": args.m_max}
+    m_max = _cfg_scalar(cfg, "m-max")
     if m_max is not None:
-        opts["m_max"] = _number(int, m_max, "config key m-max")
-    if getattr(args, "explore_open_case", False):
-        opts["explore_open_case"] = True
-    return opts
+        return {"m_max": _positive(int, m_max, "config key m-max")}
+    return {}
 
 
 def cmd_corpus(args, cfg) -> int:
@@ -241,11 +248,9 @@ def cmd_calibrate(args, cfg) -> int:
     corpus = default_corpus(args.seed)
     threads = _threads(args, cfg)
     opts = _common_opts(args, cfg)
-    margin = _number(float, _cfg_scalar(cfg, "margin", DEFAULT_MARGIN), "config key margin")
-    result = ExperimentResult()
-    for name in _BUDGET_EXPERIMENTS:
-        result.extend(run_experiment(name, corpus, budgets=None,
-                                     threads=threads, opts=opts))
+    margin = _positive(float, _cfg_scalar(cfg, "margin", DEFAULT_MARGIN), "config key margin")
+    result = run_experiment(_BUDGET_EXPERIMENTS, corpus, budgets=None,
+                            threads=threads, opts=opts)
     bf = calibrate_from_reports(result.reports, corpus_hash(corpus), margin)
     save_budgets(bf, args.budget, force=args.force)
     print(f"calibrated {len(bf.budgets)} budgets -> {args.budget}")
@@ -302,13 +307,12 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="corpus seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (or AGF_THREADS)")
+        # a bad count raises AgfError, which argparse lets through to the except below
+        p.add_argument("--threads", type=lambda v: _positive(int, v, "--threads"), default=None,
+                       help="worker threads, at least 1 (or AGF_THREADS)")
         p.add_argument("--budget", default=None, help="budget file path")
-        p.add_argument("--m-max", dest="m_max", type=int, default=None,
-                       help="dyadic depth for limit experiments")
-        p.add_argument("--explore-open-case", action="store_true",
-                       help="log ratios for theta_j < p without verdicts")
+        p.add_argument("--m-max", dest="m_max", type=lambda v: _positive(int, v, "--m-max"),
+                       default=None, help="dyadic depth for limit experiments, at least 1")
 
     p_corpus = sub.add_parser("corpus", help="write the committed corpus")
     common(p_corpus)
@@ -332,6 +336,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except AgfError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cfg = {}
     if args.config:
         try:

@@ -1,7 +1,8 @@
 """Experiment definitions: corpus wiring, parameter grids, deterministic runs.
 
-``run_experiment`` wraps each corpus member once in a ``verify.Member``, so
-every experiment of the call reads one set of curves, f*, decrement sums and
+``run_experiment`` runs one experiment, a sequence of them or all, and wraps
+each corpus member once in a ``verify.Member``, so every experiment of the
+call reads one set of curves, f*, dyadic decrements, decrement sums and
 gauges per member, each built on first use.  Each experiment expands to an
 ordered list of independent jobs (one per member x verifier x coarse
 parameter block).  Jobs may execute on a thread pool, but results are merged
@@ -12,6 +13,7 @@ byte-identical for any thread count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -22,6 +24,7 @@ from .calibration import BudgetFile
 from .corpus import CorpusSpec, generate_corpus
 from .errors import ParameterError
 from .grid import GridFunction
+from .norms import derive_params
 from .verify import InequalityReport, LimitTrace, Member
 
 EXPERIMENTS = ("rearr-estimate", "aniso-estimate", "embedding", "limit-sweep",
@@ -127,8 +130,6 @@ def _jobs_aniso_estimate(members, opts):
 
 
 def _jobs_embedding(members, opts):
-    from .norms import derive_params
-    explore = bool(opts.get("explore_open_case"))
     jobs = []
     for m in members:
         if m.f.dims != 2:
@@ -137,10 +138,7 @@ def _jobs_embedding(members, opts):
             def job(m=m, p=p, beta_js=beta_js, theta_js=theta_js):
                 res = ExperimentResult()
                 params = derive_params(p, beta_js, theta_js, m.f.dims)
-                res.reports.extend(V.verify_embedding(
-                    m, params, "lorentz", explore_open_case=explore))
-                res.reports.extend(V.verify_embedding(
-                    m, params, "mixed", order=(0, 1), explore_open_case=explore))
+                res.reports.extend(V.verify_embedding(m, params, order=(0, 1)))
                 return res
             jobs.append(job)
     return jobs
@@ -232,17 +230,17 @@ _JOB_BUILDERS = {
 }
 
 
-def run_experiment(name: str, corpus, budgets: BudgetFile | None = None,
+def run_experiment(name: str | Sequence[str], corpus, budgets: BudgetFile | None = None,
                    threads: int = 1, opts: dict | None = None) -> ExperimentResult:
-    """Run one experiment (or 'all') over a corpus; deterministic merge order.
+    """Run one experiment, a sequence of them in order, or 'all' over a corpus.
 
     ``corpus`` lists (function_id, f) pairs; each is wrapped in one ``Member``
-    that all jobs of the call share.  The verifiers give calibrated inequalities an infinite budget; with
-    ``budgets`` given, each such report gets its budget from that file once
-    the jobs are merged.
+    that all jobs of the call share.  The verifiers give calibrated
+    inequalities an infinite budget; with ``budgets`` given, each such report
+    gets its budget from that file once the jobs are merged.
     """
     opts = opts or {}
-    names = EXPERIMENTS if name == "all" else (name,)
+    names = EXPERIMENTS if name == "all" else (name,) if isinstance(name, str) else tuple(name)
     for n in names:
         if n not in _JOB_BUILDERS:
             raise ParameterError(f"unknown experiment {n!r}; known: {EXPERIMENTS + ('all',)}")

@@ -362,7 +362,12 @@ def steklov_derivative_norm(f: GridFunction, h: float, j: int, p: float) -> floa
 
 
 def steklov_distance(f: GridFunction, h: float, j: int, p: float) -> float:
-    """Exact ||f - f_{h,j}||_p using the cell-averaged Steklov mean."""
+    """Exact ||f - f_{h,j}||_p using the cell-averaged Steklov mean.
+
+    On windows up to one cell f - f_{h,j} cancels, so this oracle loses about
+    1e-13 relative there (4.3e-14 at h = c 2^-10, against 4.3e-16 for the
+    closed form of ``steklov_distances``).
+    """
     fh = steklov_mean(f, h, j)
     # embed f on fh's (extended) grid: fh has extra cells at the low end of axis j
     extra = fh.shape[j] - f.shape[j]

@@ -56,7 +56,7 @@ def lorentz_norm(sf: StepFunction, p: float, r: float) -> float:
     return (acc * p / r) ** (1.0 / r)
 
 
-def mixed_lorentz_norm(g: GridFunction, p: float, r: float, order=None) -> float:
+def mixed_lorentz_norm(g: GridFunction, p: float, r: float) -> float:
     """Mixed Lorentz norm built on an iterated rearrangement living on the orthant.
 
     ``g`` must be the iterated rearrangement R_sigma f (nonincreasing in each

@@ -8,7 +8,8 @@ as-is), and "there exists c" results whose budgets a calibration run freezes.
 The verifiers read every budget from that table: a hard id gets its constant,
 a calibrated id gets inf until ``run_experiment(..., budgets=)`` applies the
 budget file.  Every verifier takes a ``Member``, which builds each quantity it
-derives from its function (curves, f*, decrement sums, gauges) once.
+derives from its function (curves, f*, its dyadic decrement, decrement sums,
+gauges) once; ``verify_embedding`` reads one Besov product per parameter point.
 """
 
 from __future__ import annotations
@@ -146,9 +147,10 @@ class Member:
 
     Each item is built on first use and kept for the life of the record: the
     modulus curves of f per axis at exponent p (``curves(p)``), its decreasing
-    rearrangement (``star``), the decrement sums at p (``sums(p)``), the
-    gauge of a rearrangement order (``gauge(order)``) and the record of the
-    iterated rearrangement of an order (``iterated(order)``).
+    rearrangement (``star``), the dyadic decrement f*(t) - f*(2t) of f*
+    (``decrement``), the decrement sums at p (``sums(p)``), the gauge of a
+    rearrangement order (``gauge(order)``) and the record of the iterated
+    rearrangement of an order (``iterated(order)``).
     """
 
     def __init__(self, f: GridFunction, function_id: str = ""):
@@ -171,6 +173,11 @@ class Member:
     def star(self) -> StepFunction:
         """The decreasing rearrangement f*."""
         return self._item("star", lambda: decreasing_rearrangement(self.f))
+
+    @property
+    def decrement(self) -> StepFunction:
+        """The dyadic decrement ``dyadic_decrement(f*)``, t -> f*(t) - f*(2t)."""
+        return self._item("decrement", lambda: dyadic_decrement(self.star))
 
     def sums(self, p: float) -> DecrementSums:
         """``decrement_sums(f*, p, n)``."""
@@ -314,7 +321,7 @@ def verify_anisotropic_estimate(m: Member, p: float, order, h_values) -> list[In
     gauge = m.gauge(order)
     n = m.f.dims
     function_id = m.function_id
-    phi = dyadic_decrement(m.star)
+    phi = m.decrement
     reports: list[InequalityReport] = []
     curves = m.curves(p)
     tv = gauge.t_values
@@ -370,73 +377,59 @@ def verify_gauge_product(m: Member, order) -> list[InequalityReport]:
 
 # --- embedding into Lorentz spaces -------------------------------------------------
 
-def _besov_product(m: Member, params: BesovParams, with_factors: bool):
-    """Product over axes of (optionally weighted) axis Besov seminorms."""
+def _besov_product(m: Member, params: BesovParams):
+    """Product over axes of the weighted axis Besov seminorms, and the seminorms."""
     n = params.n
     curves = m.curves(params.p)
+    semis = [besov_seminorm(curves[j], params.beta_js[j], params.theta_js[j]) for j in range(n)]
     rhs = 1.0
-    semis = []
-    for j in range(n):
-        b = besov_seminorm(curves[j], params.beta_js[j], params.theta_js[j])
-        semis.append(b)
-        factor = 1.0
-        if with_factors and not math.isinf(params.theta_js[j]):
-            factor = (1.0 - params.beta_js[j]) ** (1.0 / params.theta_js[j])
-        rhs *= (factor * b) ** (params.beta / (n * params.beta_js[j]))
+    for b, beta_j, theta_j in zip(semis, params.beta_js, params.theta_js):
+        factor = 1.0 if math.isinf(theta_j) else (1.0 - beta_j) ** (1.0 / theta_j)
+        rhs *= (factor * b) ** (params.beta / (n * beta_j))
     return rhs, semis
 
 
-def verify_embedding(m: Member, params: BesovParams, flavor: str = "lorentz",
-                     order=None, explore_open_case: bool = False) -> list[InequalityReport]:
-    """Lorentz-norm embedding against the weighted product of axis Besov seminorms.
+def verify_embedding(m: Member, params: BesovParams, order=None) -> list[InequalityReport]:
+    """Lorentz-norm embeddings against one weighted product of axis Besov seminorms.
 
-    flavor "lorentz" bounds the Lorentz norm of f*; flavor "mixed" bounds the
-    mixed Lorentz norm of the iterated rearrangement (``order`` required).
-    Also asserts the exact dyadic-decrement step of the proof:
-    the Lorentz norm is at most (1 - 2^(-1/q))^(-1) times the decrement norm J.
+    Reports the Lorentz norm of f* and the exact dyadic-decrement step of the
+    proof: that norm is at most (1 - 2^(-1/q))^(-1) times the decrement norm
+    J.  With ``order`` given, also the mixed Lorentz norm of the iterated
+    rearrangement.  A zero f gives degenerate norm rows and no step row.
     """
-    if flavor not in ("lorentz", "mixed"):
-        raise ParameterError(f"unknown norm flavor {flavor!r}")
     if not params.admissible:
         raise ParameterError(
             f"inadmissible parameters: need 1 <= p < n/beta, got p={params.p}, "
             f"n/beta={params.n / params.beta}")
-    if any(t < params.p for t in params.theta_js) and not explore_open_case:
-        raise ParameterError("theta_j < p is an open case; pass explore_open_case to log ratios")
-    q, theta, p = params.q, params.theta, params.p
-    f, function_id = m.f, m.function_id
-    ineq_id = "embedding-lorentz" if flavor == "lorentz" else "embedding-mixed"
-    rep_params = {"p": p, "q": q, "theta": theta,
-                  "beta_js": list(params.beta_js), "theta_js": list(params.theta_js),
-                  "flavor": flavor}
+    if any(t < params.p for t in params.theta_js):
+        raise ParameterError(f"theta_j < p is an open case, got {params.theta_js}, p={params.p}")
+    q, theta, n, function_id = params.q, params.theta, params.n, m.function_id
+    base = {"p": params.p, "q": q, "theta": theta,
+            "beta_js": list(params.beta_js), "theta_js": list(params.theta_js)}
+    lorentz_params = {**base, "flavor": "lorentz"}
+    rows = [("embedding-lorentz", lorentz_params)]
     if order is not None:
-        rep_params["order"] = [int(k) for k in order]
-    if f.support_cells == 0:
-        return [_degenerate(ineq_id, function_id, params.n, rep_params)]
-    sf = m.star
-    if flavor == "lorentz":
-        lhs = lorentz_norm(sf, q, theta)
+        mixed_params = {**base, "flavor": "mixed", "order": [int(k) for k in order]}
+        rows.append(("embedding-mixed", mixed_params))
+    if m.f.support_cells == 0:
+        return [_degenerate(iid, function_id, n, prm) for iid, prm in rows]
+    rhs, semis = _besov_product(m, params)
+    trunc = "unbounded seminorm on the right" if math.isinf(rhs) else ""
+    lhs = lorentz_norm(m.star, q, theta)
+    phi = m.decrement
+    if math.isinf(theta):
+        j_norm = phi.weighted_sup(1.0 / q)
     else:
-        if order is None:
-            raise ParameterError("mixed flavor requires a rearrangement order")
-        lhs = mixed_lorentz_norm(m.iterated(order).f, q, theta)
-    rhs, semis = _besov_product(m, params, with_factors=True)
-    trunc = ""
-    if math.isinf(rhs):
-        trunc = "unbounded seminorm on the right"
-    budget_flag = "open-case, no verdict" if any(t < p for t in params.theta_js) else ""
-    rep = _report(ineq_id, function_id, params.n, {**rep_params, "seminorms": semis},
-                  lhs, rhs, trunc or budget_flag)
-    out = [rep]
-    if flavor == "lorentz":
-        phi = dyadic_decrement(sf)
-        if math.isinf(theta):
-            j_norm = phi.weighted_sup(1.0 / q)
-        else:
-            j_norm = phi.power_integral(theta / q, theta) ** (1.0 / theta)
-        c = 1.0 / (1.0 - 2.0 ** (-1.0 / q))
-        out.append(_report("embedding-dyadic-step", function_id, params.n,
-                           {"q": q, "theta": theta}, lhs, c * j_norm))
+        j_norm = phi.power_integral(theta / q, theta) ** (1.0 / theta)
+    c = 1.0 / (1.0 - 2.0 ** (-1.0 / q))
+    out = [_report("embedding-lorentz", function_id, n, {**lorentz_params, "seminorms": semis},
+                   lhs, rhs, trunc),
+           _report("embedding-dyadic-step", function_id, n, {"q": q, "theta": theta},
+                   lhs, c * j_norm)]
+    if order is not None:
+        out.append(_report("embedding-mixed", function_id, n,
+                           {**mixed_params, "seminorms": list(semis)},
+                           mixed_lorentz_norm(m.iterated(order).f, q, theta), rhs, trunc))
     return out
 
 
@@ -485,13 +478,15 @@ def limiting_sweep(m: Member, p: float, theta_js, m_max: int):
         if not params.admissible:
             truncated = True
             break
-        reps = verify_embedding(m, params, flavor="lorentz")
+        reps = verify_embedding(m, params)
         rep = reps[0]
         reports.extend(reps)
-        rhs_ctrl, _ = _besov_product(m, params, with_factors=False)
         if rep.lhs == 0.0:
             truncated = True
             break
+        # the control is the report's product without the weights
+        rhs_ctrl = math.prod(b ** (params.beta / (n * bj))
+                             for b, bj in zip(rep.params["seminorms"], params.beta_js))
         ms.append(i)
         vals_with.append(rep.rhs / rep.lhs)
         vals_ctrl.append(rhs_ctrl / rep.lhs)

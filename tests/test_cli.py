@@ -1,16 +1,19 @@
+import math
 import os
+import re
 
 import pytest
 
 import agf.cli
-from agf import (AgfError, CorpusSpec, Member, calibrate_from_reports, corpus_hash,
-                 default_corpus, generate_corpus, load_budgets, run_experiment,
+from agf import (AgfError, CorpusSpec, Member, ValidationError, calibrate_from_reports,
+                 corpus_hash, default_corpus, generate_corpus, load_budgets, run_experiment,
                  verify_gagliardo_limit)
 from agf.cli import _BUDGET_EXPERIMENTS, main, parse_config
 from agf.experiments import ExperimentResult
 
-_COMMITTED_BUDGETS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                  "calibration", "budgets.json")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_COMMITTED_BUDGETS = os.path.join(_ROOT, "calibration", "budgets.json")
+_README = os.path.join(_ROOT, "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -229,12 +232,25 @@ def test_config_supplies_defaults(tmp_path, budget_file):
     ("cfg", "seed", "1.5"),
     ("cfg", "m-max", "eight"),
     ("cfg", "margin", "wide"),
+    # counts below 1 and margins that are not finite and > 0
+    pytest.param(("env", "AGF_THREADS", "0"), id="AGF_THREADS-0"),
+    pytest.param(("cfg", "threads", "-3"), id="threads-neg"),
+    pytest.param(("flag", "--threads", "0"), id="--threads-0"),
+    pytest.param(("flag", "--threads", "-3"), id="--threads-neg"),
+    pytest.param(("cfg", "m-max", "0"), id="m-max-0"),
+    pytest.param(("flag", "--m-max", "0"), id="--m-max-0"),
+    pytest.param(("flag", "--m-max", "-2"), id="--m-max-neg"),
+    pytest.param(("cfg", "margin", "nan"), id="margin-nan"),
+    pytest.param(("cfg", "margin", "inf"), id="margin-inf"),
+    pytest.param(("cfg", "margin", "0"), id="margin-0"),
 ], ids=lambda s: s[1])
 def test_malformed_number_setting_exits_2(tmp_path, monkeypatch, capsys, setting):
     where, key, value = setting
-    argv = []
+    argv, flags = [], []
     if where == "env":
         monkeypatch.setenv(key, value)
+    elif where == "flag":
+        flags = [key, value]
     else:
         cfg = tmp_path / "cfg"
         cfg.write_text(f"{key} = {value}\n")
@@ -243,7 +259,7 @@ def test_malformed_number_setting_exits_2(tmp_path, monkeypatch, capsys, setting
         argv += ["calibrate", "--budget", str(tmp_path / "budgets.json")]
     else:
         argv += ["run", "modulus-lemmas", "--out", str(tmp_path / "out")]
-    assert main(argv) == 2
+    assert main(argv + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(value) in err
 
@@ -271,3 +287,25 @@ def test_fresh_calibration_matches_committed_budgets():
     assert sorted(fresh.budgets) == sorted(committed.budgets)
     for iid, budget in committed.budgets.items():
         assert fresh.budgets[iid] == pytest.approx(budget, rel=1e-12, abs=0.0), iid
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, 0.0, -1.0])
+def test_calibration_margin_must_be_finite_and_positive(margin):
+    with pytest.raises(ValidationError, match="margin"):
+        calibrate_from_reports([], "hash", margin)
+
+
+def _readme_flags():
+    """Every --flag of README's "Flags:" paragraph."""
+    with open(_README) as fh:
+        text = fh.read()
+    paragraph = text[text.index("Flags:"):].split("\n\n", 1)[0]
+    return set(re.findall(r"--[a-z][a-z-]*", paragraph))
+
+
+def test_readme_flags_match_the_run_parser(capsys):
+    # the flags of `agf run` are its own and the global ones before the subcommand
+    for argv in (["--help"], ["run", "--help"]):
+        assert main(argv) == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert _readme_flags() == flags

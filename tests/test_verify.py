@@ -107,18 +107,18 @@ def test_embedding_reports_and_dyadic_step():
     rng = np.random.default_rng(73)
     f = make_grid_function(rng.uniform(0, 2, size=(6, 6)), (0.4, 0.4))
     params = derive_params(1.0, (0.5, 0.5), (1.0, 1.0), 2)
-    reps = verify_embedding(Member(f), params, flavor="lorentz")
+    reps = verify_embedding(Member(f), params)
     assert [r.inequality_id for r in reps] == ["embedding-lorentz", "embedding-dyadic-step"]
     step = reps[1]
     assert step.verdict == "pass"  # exact Minkowski-type step, hard constant
     # dilation invariance of the main ratio
-    reps3 = verify_embedding(Member(_scaled(f, 3.0)), params, flavor="lorentz")
+    reps3 = verify_embedding(Member(_scaled(f, 3.0)), params)
     assert reps3[0].ratio == pytest.approx(reps[0].ratio, rel=1e-11)
-    # mixed flavor requires an order
+    # the mixed row needs a permutation of the axes as its order
     with pytest.raises(ParameterError):
-        verify_embedding(Member(f), params, flavor="mixed")
-    mixed = verify_embedding(Member(f), params, flavor="mixed", order=(0, 1))
-    assert mixed[0].inequality_id == "embedding-mixed"
+        verify_embedding(Member(f), params, order=(0, 0))
+    mixed = verify_embedding(Member(f), params, order=(0, 1))
+    assert mixed[2].inequality_id == "embedding-mixed"
 
 
 def test_embedding_open_case_guard():
@@ -129,9 +129,7 @@ def test_embedding_open_case_guard():
     q = 2 * p / (2 - beta * p)
     open_params = BesovParams(p, (0.5, 0.5), (1.0, 1.0), 2, beta, 1.0, q, True)
     with pytest.raises(ParameterError):
-        verify_embedding(Member(f), open_params, flavor="lorentz")
-    reps = verify_embedding(Member(f), open_params, flavor="lorentz", explore_open_case=True)
-    assert reps[0].truncation == "open-case, no verdict"
+        verify_embedding(Member(f), open_params)
 
 
 def test_gauge_product_exact_bound():
