@@ -20,9 +20,9 @@ from .moduli import (ModulusCurve, interval_curve_1d, interval_modulus_1d,
                      shift_difference_norm, shift_norm_integral, steklov_axis_derivative,
                      steklov_derivative_norm, steklov_distance, steklov_distances,
                      steklov_mean)
-from .norms import (BesovParams, LipschitzParams, besov_seminorm,
+from .norms import (BesovParams, GagliardoSums, LipschitzParams, besov_seminorm,
                     derive_lipschitz_params, derive_params, gagliardo_seminorm,
-                    lipschitz_seminorm, lorentz_norm, mixed_lorentz_norm)
+                    gagliardo_sums, lipschitz_seminorm, lorentz_norm, mixed_lorentz_norm)
 from .geometry import (AnisotropicGauge, CellSet, ProjectionProfile, box_average,
                        box_average_field, build_gauge, default_t_grid,
                        loomis_whitney_check, minimal_projection_chain,

@@ -238,7 +238,7 @@ def modulus_curve(f: GridFunction, k: int, p: float) -> ModulusCurve:
     ``shift_integral``) and the axis seminorms (``besov_seminorm``,
     ``lipschitz_seminorm``) from one computation.
     """
-    if p < 1:
+    if not p >= 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     prof = _shift_power_profile(f, k, p)
     c = f.cell_sizes[k]

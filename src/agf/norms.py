@@ -8,9 +8,12 @@ cell offsets: the pair kernel depends only on the offset o, so the double sum
 is 2 sum_o K(o) S(o) with S(o) = sum_x |f(x+o) - f(x)|^p.  The S(o) of all
 offsets along the last axis are formed in one blocked array pass (by the
 helper that also builds the shift-power profiles of ``moduli``), one Python
-step per offset of the leading axes.  In 1-D the kernel is exact; in higher
-dimensions it is the midpoint rule with a refined near-diagonal rule.  The
-work stays quadratic in the cell count, so it is guarded at 10^4 cells.
+step per offset of the leading axes.  No alpha enters S(o), so
+``gagliardo_sums(f, p)`` builds them once and ``gagliardo_seminorm`` reads
+them at any alpha, as ``besov_seminorm`` reads a modulus curve.  In 1-D the
+kernel is exact; in higher dimensions it is the midpoint rule with a refined
+near-diagonal rule.  The build stays quadratic in the cell count, so it is
+guarded at 10^4 cells.
 """
 
 from __future__ import annotations
@@ -199,43 +202,76 @@ def besov_seminorm(curve: ModulusCurve, alpha: float, theta: float) -> float:
 _SIZE_GUARD = 10_000
 
 
-def gagliardo_seminorm(f: GridFunction, alpha: float, p: float) -> float:
+@dataclass(frozen=True)
+class GagliardoSums:
+    """The alpha-free part of the Gagliardo seminorm of one (f, p).
+
+    ``sums[i]`` is S(o) = sum over x of |f(x+o) - f(x)|^p at the offset
+    ``offsets[i]`` (see ``_offset_power_sums``).  In higher dimensions only
+    the offsets with S(o) > 0 are kept; in 1-D every offset 1..N-1 is kept,
+    in order, because the closed form adds them one after the other.
+    """
+
+    f: GridFunction
+    p: float
+    offsets: np.ndarray
+    sums: np.ndarray
+
+    def __post_init__(self):
+        for name in ("offsets", "sums"):
+            getattr(self, name).flags.writeable = False
+
+
+def gagliardo_sums(f: GridFunction, p: float) -> GagliardoSums:
+    """The offset sums of the Gagliardo seminorm of f at exponent p >= 1.
+
+    This is the O(N^2) part, which no alpha enters: one build serves
+    ``gagliardo_seminorm`` at every alpha.  Guarded at 10^4 cells.
+    """
+    if not p >= 1:
+        raise ParameterError(f"p must be >= 1, got {p}")
+    ncells = f.values.size
+    if ncells > _SIZE_GUARD:
+        # the degenerate bbm rows quote this message, so it names the seminorm
+        raise ResourceError(f"gagliardo_seminorm is quadratic: {ncells} cells exceeds "
+                            f"the guard of {_SIZE_GUARD}")
+    offs, sums = _offset_power_sums(f.values, p)
+    if f.dims > 1:
+        live = sums > 0
+        offs, sums = offs[live], sums[live]
+    return GagliardoSums(f, p, offs, sums)
+
+
+def gagliardo_seminorm(sums: GagliardoSums, alpha: float) -> float:
     """Double integral |f(x)-f(y)|^p / |x-y|^(n + alpha p), midpoint double sum.
 
-    The sum over unordered pairs of distinct cells is 2 sum_o K(o) S(o) over
-    the lexicographically positive cell offsets o, with S(o) the sum over x of
-    |f(x+o) - f(x)|^p (see ``_offset_power_sums``).  The kernel K(o) is the
+    ``sums`` is ``gagliardo_sums(f, p)``, which carries f and p.  The sum over
+    unordered pairs of distinct cells is 2 sum_o K(o) S(o) over the
+    lexicographically positive cell offsets o.  The kernel K(o) is the
     midpoint value v^2 |o c|^-(n + alpha p) for all offsets at once, except
     that offsets closer than twice the largest cell size get a 4x-per-axis
     refined subgrid, computed once per offset.  Same-cell pairs vanish
-    exactly.  Cost is quadratic in the cell count, in array work with
-    temporaries bounded independently of the grid shape, plus one Python step
-    per offset of the leading axes; guarded at 10^4 cells.  Returns the
-    integral itself (the p-th power scale), not a p-th root.
+    exactly.  Beyond the sums the cost is linear in the number of offsets.
+    Returns the integral itself (the p-th power scale), not a p-th root.
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    ncells = f.values.size
-    if ncells > _SIZE_GUARD:
-        raise ResourceError(f"gagliardo_seminorm is quadratic: {ncells} cells exceeds "
-                            f"the guard of {_SIZE_GUARD}")
+    f, p = sums.f, sums.p
     if f.dims == 1:
-        return _gagliardo_1d_exact(f, alpha, p)
+        return _gagliardo_1d_exact(f, alpha, p, sums.sums)
     n = f.dims
     cs = np.asarray(f.cell_sizes)
     v = f.cell_volume
     expo = n + alpha * p
-    offs, sums = _offset_power_sums(f.values, p)
-    live = sums > 0
-    offs, sums = offs[live], sums[live]
+    offs, s_live = sums.offsets, sums.sums
     dist = np.sqrt(np.sum((offs * cs) ** 2, axis=1))
     far = dist > 2.0 * float(np.max(cs))
-    total = 2.0 * v * v * float(np.sum(sums[far] * dist[far] ** (-expo)))
+    total = 2.0 * v * v * float(np.sum(s_live[far] * dist[far] ** (-expo)))
 
     refine = 4
     sub_offsets = _subgrid_offsets(n, refine) * cs  # (refine^n, n), offsets within a cell
     sub_w = (v / refine**n) ** 2
-    for o, s in zip(offs[~far], sums[~far]):
+    for o, s in zip(offs[~far], s_live[~far]):
         diffs = o * cs + sub_offsets[None, :, :] - sub_offsets[:, None, :]
         dd = np.sqrt(np.sum(diffs**2, axis=2))
         ker = sub_w * float(np.sum(dd ** (-expo)))
@@ -281,8 +317,10 @@ def _offset_power_sums(values: np.ndarray, p: float):
     return np.concatenate(offsets), np.concatenate(sums)
 
 
-def _gagliardo_1d_exact(f: GridFunction, alpha: float, p: float) -> float:
+def _gagliardo_1d_exact(f: GridFunction, alpha: float, p: float, s: np.ndarray) -> float:
     """Closed-form 1-D double integral over the zero-extended real line.
+
+    ``s`` holds the offset sums S(1), ..., S(N-1) of f at p.
 
     The kernel integral over a pair of cells at offset m is a second
     difference of t^(2-beta), beta = 1 + alpha p; it diverges on touching
@@ -301,7 +339,6 @@ def _gagliardo_1d_exact(f: GridFunction, alpha: float, p: float) -> float:
     m = np.arange(1, nn + 1, dtype=np.float64)
     # one-sided pair kernel at cell offset m (positive: concave second difference)
     pair_k = (c**e) * ((m + 1.0) ** e - 2.0 * m**e + (m - 1.0) ** e) / ((1.0 - beta) * e)
-    _, s = _offset_power_sums(a, p)
     # offsets 1..nn-1, added one after the other
     total = float(np.cumsum(s * pair_k[:-1])[-1]) if s.size else 0.0
     # cells against the zero half lines on both sides

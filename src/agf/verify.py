@@ -9,7 +9,8 @@ The verifiers read every budget from that table: a hard id gets its constant,
 a calibrated id gets inf until ``run_experiment(..., budgets=)`` applies the
 budget file.  Every verifier takes a ``Member``, which builds each quantity it
 derives from its function (curves, f*, its dyadic decrement, decrement sums,
-gauges) once; ``verify_embedding`` reads one Besov product per parameter point.
+Gagliardo offset sums, gauges) once; ``verify_embedding`` reads one Besov
+product per parameter point.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from .grid import GridFunction, make_grid_function
 from .moduli import ModulusCurve, interval_curve_1d, modulus_curve, steklov_distances
 from .norms import (
     BesovParams,
+    GagliardoSums,
     _leggauss,
     besov_seminorm,
     derive_lipschitz_params,
     derive_params,
     gagliardo_seminorm,
+    gagliardo_sums,
     lipschitz_seminorm,
     lorentz_norm,
     mixed_lorentz_norm,
@@ -148,9 +151,10 @@ class Member:
     Each item is built on first use and kept for the life of the record: the
     modulus curves of f per axis at exponent p (``curves(p)``), its decreasing
     rearrangement (``star``), the dyadic decrement f*(t) - f*(2t) of f*
-    (``decrement``), the decrement sums at p (``sums(p)``), the gauge of a
-    rearrangement order (``gauge(order)``) and the record of the iterated
-    rearrangement of an order (``iterated(order)``).
+    (``decrement``), the decrement sums at p (``sums(p)``), the Gagliardo
+    offset sums at p (``gagliardo_sums(p)``), the gauge of a rearrangement
+    order (``gauge(order)``) and the record of the iterated rearrangement of
+    an order (``iterated(order)``).
     """
 
     def __init__(self, f: GridFunction, function_id: str = ""):
@@ -182,6 +186,10 @@ class Member:
     def sums(self, p: float) -> DecrementSums:
         """``decrement_sums(f*, p, n)``."""
         return self._item(("sums", p), lambda: decrement_sums(self.star, p, self.f.dims))
+
+    def gagliardo_sums(self, p: float) -> GagliardoSums:
+        """``gagliardo_sums(f, p)``; raises ``ResourceError`` past its size guard."""
+        return self._item(("gagliardo", p), lambda: gagliardo_sums(self.f, p))
 
     def gauge(self, order) -> AnisotropicGauge:
         """``build_gauge(f, order)``."""
@@ -551,15 +559,16 @@ def verify_gagliardo_limit(m: Member, p: float, m_max: int) -> LimitTrace:
         raise PreconditionError("the Gagliardo limit target is implemented for n = 1")
     target = (2.0 / p) * slope_norm_power(f, p)
     ms = np.arange(1, m_max + 1, dtype=np.float64)
+    try:
+        sums = m.gagliardo_sums(p)
+    except ResourceError:
+        # past the size guard of the double sum: the trace has no points
+        return LimitTrace("gagliardo-limit", function_id, "m", ms[:0], np.empty(0),
+                          target, truncated=True)
     vals = np.empty(ms.size)
     for i, mi in enumerate(ms):
         alpha = 1.0 - 2.0**-mi
-        try:
-            vals[i] = (1.0 - alpha) * gagliardo_seminorm(f, alpha, p)
-        except ResourceError:
-            # past the size guard of the double sum: the trace stops here
-            return LimitTrace("gagliardo-limit", function_id, "m", ms[:i], vals[:i],
-                              target, truncated=True)
+        vals[i] = (1.0 - alpha) * gagliardo_seminorm(sums, alpha)
     return LimitTrace("gagliardo-limit", function_id, "m", ms, vals, target)
 
 
@@ -584,12 +593,12 @@ def verify_fractional_sobolev(m: Member, p: float, alpha: float) -> list[Inequal
     if f.support_cells == 0:
         return [_degenerate(iid, function_id, n, params) for iid in ids]
     try:
-        gagliardo = gagliardo_seminorm(f, alpha, p)
+        sums = m.gagliardo_sums(p)
     except ResourceError as exc:
         return [_degenerate(iid, function_id, n, params, f"not computed: {exc}")
                 for iid in ids]
     sf = m.star
-    rhs = (1.0 - alpha) / (n - alpha * p) ** (p - 1.0) * gagliardo
+    rhs = (1.0 - alpha) / (n - alpha * p) ** (p - 1.0) * gagliardo_seminorm(sums, alpha)
     lhs = lorentz_norm(sf, p_star, p_star) ** p
     lhs_lorentz = lorentz_norm(sf, p_star, p) ** p
     return [_report(iid, function_id, n, params, left, rhs, "midpoint double sum")

@@ -13,6 +13,7 @@ from agf import (
     derive_lipschitz_params,
     derive_params,
     gagliardo_seminorm,
+    gagliardo_sums,
     iterated_rearrangement,
     lipschitz_seminorm,
     lorentz_norm,
@@ -122,7 +123,7 @@ def test_besov_theta_inf_is_lipschitz_sup():
 def test_gagliardo_indicator_oracle():
     f = make_grid_function(np.ones(16), 1 / 16)
     for alpha in [0.25, 0.5, 0.75]:
-        assert gagliardo_seminorm(f, alpha, 1.0) == pytest.approx(
+        assert gagliardo_seminorm(gagliardo_sums(f, 1.0), alpha) == pytest.approx(
             4.0 / (alpha * (1.0 - alpha)), rel=1e-12)
 
 
@@ -130,18 +131,18 @@ def test_gagliardo_scaling_law():
     rng = np.random.default_rng(19)
     vals1 = rng.uniform(0, 1, size=10)
     alpha, p = 0.5, 1.0
-    a = gagliardo_seminorm(make_grid_function(vals1, 0.5), alpha, p)
-    b = gagliardo_seminorm(make_grid_function(vals1, 0.25), alpha, p)
+    a = gagliardo_seminorm(gagliardo_sums(make_grid_function(vals1, 0.5), p), alpha)
+    b = gagliardo_seminorm(gagliardo_sums(make_grid_function(vals1, 0.25), p), alpha)
     assert b == pytest.approx(2.0 ** (alpha * p - 1.0) * a, rel=1e-12)
     vals2 = rng.uniform(0, 1, size=(5, 5))
-    a2 = gagliardo_seminorm(make_grid_function(vals2, (0.5, 0.5)), alpha, p)
-    b2 = gagliardo_seminorm(make_grid_function(vals2, (0.25, 0.25)), alpha, p)
+    a2 = gagliardo_seminorm(gagliardo_sums(make_grid_function(vals2, (0.5, 0.5)), p), alpha)
+    b2 = gagliardo_seminorm(gagliardo_sums(make_grid_function(vals2, (0.25, 0.25)), p), alpha)
     assert b2 == pytest.approx(2.0 ** (alpha * p - 2.0) * a2, rel=1e-12)
 
 
 def test_gagliardo_infinite_for_jumps_past_critical():
     f = make_grid_function([1.0, 0.0], 0.5)
-    assert gagliardo_seminorm(f, 0.75, 2.0) == math.inf
+    assert gagliardo_seminorm(gagliardo_sums(f, 2.0), 0.75) == math.inf
 
 
 def test_derive_params_isotropic_consistency():
@@ -248,16 +249,17 @@ def test_gagliardo_offset_form_matches_per_cell_loop(shape, cells):
     vals[: max(1, shape[0] // 2)] = 0.0  # a zero region
     f = make_grid_function(vals, cells)
     for p in (1.0, 1.5, 2.0):
+        sums = gagliardo_sums(f, p)
         for alpha in (0.3, 0.5, 0.75):
             want = _gagliardo_per_cell_oracle(f, alpha, p)
-            assert gagliardo_seminorm(f, alpha, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert gagliardo_seminorm(sums, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_gagliardo_zero_and_constant_grids():
     zero = make_grid_function(np.zeros((4, 5)), (0.5, 0.5))
-    assert gagliardo_seminorm(zero, 0.5, 1.0) == 0.0
+    assert gagliardo_seminorm(gagliardo_sums(zero, 1.0), 0.5) == 0.0
     flat = make_grid_function(np.full((3, 3), 2.0), (1.0, 1.0))
-    assert gagliardo_seminorm(flat, 0.5, 2.0) == 0.0
+    assert gagliardo_seminorm(gagliardo_sums(flat, 2.0), 0.5) == 0.0
 
 
 @pytest.mark.parametrize("nn", [1, 2, 7, 64, 300])
@@ -268,7 +270,7 @@ def test_gagliardo_1d_matches_per_offset_loop(nn):
     f = make_grid_function(vals, 1.0 / nn)
     for p, alpha in [(1.0, 0.3), (1.0, 0.75), (1.5, 0.5), (2.0, 0.3), (2.0, 0.75)]:
         want = _gagliardo_1d_per_offset_oracle(f, alpha, p)
-        got = gagliardo_seminorm(f, alpha, p)
+        got = gagliardo_seminorm(gagliardo_sums(f, p), alpha)
         if math.isinf(want):
             assert got == math.inf
         else:
@@ -306,17 +308,33 @@ def test_offset_power_sums_against_brute_force():
 def test_gagliardo_guard_at_ten_thousand_cells():
     rng = np.random.default_rng(11)
     at_guard = make_grid_function(rng.uniform(size=(100, 100)), (0.01, 0.01))
-    assert math.isfinite(gagliardo_seminorm(at_guard, 0.5, 1.0))
+    assert math.isfinite(gagliardo_seminorm(gagliardo_sums(at_guard, 1.0), 0.5))
     past_guard = make_grid_function(rng.uniform(size=(73, 137)), (0.01, 0.01))
     with pytest.raises(ResourceError, match="10001 cells"):
-        gagliardo_seminorm(past_guard, 0.5, 1.0)
+        gagliardo_seminorm(gagliardo_sums(past_guard, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, 0.5])
+def test_exponents_below_one_are_rejected(p):
+    flat = make_grid_function(np.full((3, 3), 2.0), (1.0, 1.0))
+    with pytest.raises(ParameterError, match="p must be >= 1"):
+        modulus_curve(flat, 0, p)
+    with pytest.raises(ParameterError, match="p must be >= 1"):
+        gagliardo_sums(flat, p)
+
+
+def test_gagliardo_sums_are_read_only():
+    f = make_grid_function(np.random.default_rng(8).uniform(size=(4, 6)), (0.5, 0.25))
+    sums = gagliardo_sums(f, 1.5)
+    assert not sums.offsets.flags.writeable and not sums.sums.flags.writeable
+    assert sums.f is f and sums.p == 1.5
 
 
 def test_gagliardo_memory_is_bounded():
     f = make_grid_function(np.random.default_rng(2).uniform(size=(2, 5000)), (1e-3, 1e-3))
     tracemalloc.start()
     try:
-        gagliardo_seminorm(f, 0.5, 1.0)
+        gagliardo_seminorm(gagliardo_sums(f, 1.0), 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

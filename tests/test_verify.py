@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import agf.moduli
+import agf.norms
 import agf.verify
 from agf import (
     BesovParams,
@@ -17,6 +19,8 @@ from agf import (
     derive_params,
     dyadic_decrement,
     decreasing_rearrangement,
+    gagliardo_seminorm,
+    gagliardo_sums,
     generate_corpus,
     limiting_sweep,
     make_grid_function,
@@ -37,7 +41,8 @@ from agf import (
 )
 from agf.rearrange import iterated_rearrangement
 from agf.experiments import EXPERIMENTS
-from agf.verify import axis_decrement_integral, box_operator_weighted_integral
+from agf.verify import (axis_decrement_integral, box_operator_weighted_integral,
+                        slope_norm_power)
 
 
 def test_report_verdict_logic():
@@ -428,12 +433,16 @@ def test_aniso_estimate_job_builds_one_curve_per_axis(monkeypatch):
         assert sorted(calls) == ([(0, 1.0), (1, 1.0)] if f.dims == 2 else [])
 
 
+def _past_the_gagliardo_guard():
+    return (generate_corpus(CorpusSpec("hat-multilinear", (128, 128), (1 / 128, 1 / 128), 3))
+            + generate_corpus(CorpusSpec("hat-multilinear", (10240,), (1 / 10240,), 4)))
+
+
 def test_bbm_reports_past_the_gagliardo_guard():
     small = (generate_corpus(CorpusSpec("hat-multilinear", (16,), (1 / 16,), 5))
              + generate_corpus(CorpusSpec("hat-multilinear", (8, 8), (1 / 8, 1 / 8), 6))
              + generate_corpus(CorpusSpec("indicator-box", (8,), (0.125,), 7)))
-    big = (generate_corpus(CorpusSpec("hat-multilinear", (128, 128), (1 / 128, 1 / 128), 3))
-           + generate_corpus(CorpusSpec("hat-multilinear", (10240,), (1 / 10240,), 4)))
+    big = _past_the_gagliardo_guard()
     opts = {"m_max": 2}
     mixed = run_experiment("bbm", big[:1] + small + big[1:], opts=opts)
     alone = run_experiment("bbm", small, opts=opts)
@@ -449,8 +458,64 @@ def test_bbm_reports_past_the_gagliardo_guard():
         for r in reps:
             assert r.verdict == "degenerate"
             assert f"{f.values.size} cells" in r.truncation and "10000" in r.truncation
+        # the guard rows, field by field
+        n = f.dims
+        note = (f"not computed: gagliardo_seminorm is quadratic: {f.values.size} cells "
+                "exceeds the guard of 10000")
+        assert reps == [
+            InequalityReport(iid, fid, {"p": 1.0, "alpha": alpha, "p_star": n / (n - alpha)},
+                             0.0, 0.0, math.inf, note, True)
+            for alpha in (0.5, 0.75)
+            for iid in ("fractional-sobolev", "fractional-sobolev-lorentz")]
     gag = [t for t in mixed.traces if t.function_id == big[1][0] and t.trace_id == "gagliardo-limit"]
     assert len(gag) == 1 and gag[0].truncated and gag[0].values.size == 0
+    assert [_trace_fields(t) for t in gag] == [
+        ("gagliardo-limit", big[1][0], "m", [], [], 2.0 * slope_norm_power(big[1][1], 1.0), True)]
+
+
+def _limits_corpus(seed):
+    """The fine hat functions of the benchmark's ``limits`` workload."""
+    return (generate_corpus(CorpusSpec("hat-multilinear", (1024,), (1 / 1024,), seed + 1))
+            + generate_corpus(CorpusSpec("hat-multilinear", (32, 32), (1 / 32, 1 / 32), seed + 2))
+            + generate_corpus(CorpusSpec("hat-multilinear", (64, 64), (1 / 64, 1 / 64), seed + 3)))
+
+
+_LIMITS_7 = dict(_limits_corpus(7))
+
+
+def _bbm_member(fid, f):
+    return "hat-multilinear" in fid or (f.dims == 1 and "indicator" in fid)
+
+
+# every alpha the bbm verifiers read: the limit trace's 1 - 2^-m, then fractional-sobolev's
+_BBM_ALPHAS = [1.0 - 2.0**-m for m in range(1, 7)] + [0.5, 0.75]
+
+
+@pytest.mark.parametrize("fid", list(_LIMITS_7)
+                         + [fid for fid, f in _CORPUS.items() if _bbm_member(fid, f)])
+def test_one_gagliardo_sums_serves_every_alpha(fid):
+    f = {**_LIMITS_7, **_CORPUS}[fid]
+    sums = gagliardo_sums(f, 1.0)
+    for alpha in _BBM_ALPHAS:
+        assert gagliardo_seminorm(sums, alpha) == gagliardo_seminorm(gagliardo_sums(f, 1.0), alpha)
+
+
+def test_bbm_builds_the_gagliardo_sums_once_per_member(monkeypatch):
+    built = Counter()
+    offset_sums = agf.norms._offset_power_sums
+
+    def counted(values, p):
+        built[id(values), p] += 1
+        return offset_sums(values, p)
+
+    monkeypatch.setattr(agf.norms, "_offset_power_sums", counted)
+    inside = list(_LIMITS_7.items()) + [(fid, f) for fid, f in _CORPUS.items()
+                                        if _bbm_member(fid, f)]
+    run_experiment(("limit-sweep", "bbm"), inside + _past_the_gagliardo_guard(),
+                   opts={"m_max": 12})
+    # one build per member at p = 1, read by the limit trace and both fractional-sobolev
+    # alphas; none past the guard
+    assert built == Counter({(id(f.values), 1.0): 1 for _, f in inside})
 
 
 def _isotropic_lhs_per_delta(f, p, delta):
