@@ -123,9 +123,6 @@ FAMILIES = {
 MDEC_FAMILIES = {"indicator-box", "separable-exp-staircase",
                  "anisotropic-staircase", "random-mdec"}
 
-# families with a continuous underlying representative (finite sup-slope)
-CONTINUOUS_FAMILIES = {"hat-multilinear"}
-
 
 def generate_corpus(spec: CorpusSpec) -> list[tuple[str, GridFunction]]:
     """Deterministic (function_id, GridFunction) list for the spec."""

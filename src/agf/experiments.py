@@ -3,21 +3,23 @@
 ``run_experiment`` runs one experiment, a sequence of them or all, and wraps
 each corpus member once in a ``verify.Member``, so every experiment of the
 call reads one set of curves, f*, dyadic decrements, decrement sums and
-gauges per member, each built on first use.  Each experiment expands to an
-ordered list of independent jobs (one per member x verifier x coarse
-parameter block).  Jobs may execute on a thread pool, but results are merged
-in submission order and rows are sorted before emission, so the output is
-byte-identical for any thread count.
+gauges per member, each built on first use.  Each experiment is one runner
+of one member, and expands to an ordered list of independent jobs, one
+``partial(_run, member, runner, opts)`` per member the experiment runs on.
+Jobs may execute on a thread pool, but results are merged in submission
+order and rows are sorted before emission, so the output is byte-identical
+for any thread count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from functools import partial
 
 from . import verify as V
 from .calibration import BudgetFile
@@ -26,9 +28,6 @@ from .errors import ParameterError
 from .grid import GridFunction
 from .norms import derive_params
 from .verify import InequalityReport, LimitTrace, Member
-
-EXPERIMENTS = ("rearr-estimate", "aniso-estimate", "embedding", "limit-sweep",
-               "bbm", "modulus-lemmas", "appendix")
 
 
 def default_corpus(seed: int) -> list[tuple[str, GridFunction]]:
@@ -78,156 +77,115 @@ class ExperimentResult:
         self.gauge_rows.extend(other.gauge_rows)
 
 
-def _dyadic(top: float, count: int, start: int = 1) -> list[float]:
-    return [top * 2.0**-k for k in range(start, start + count)]
+def _dyadic(top: float, count: int) -> list[float]:
+    return [top * 2.0**-k for k in range(1, count + 1)]
 
 
-def _max_extent(f: GridFunction) -> float:
-    return max(f.extent)
+# --- per-member runners: each appends one member's rows to ``res`` ----------------
+
+def _rearr_estimate(m, opts, res):
+    for p in P_GRID:
+        for d in _dyadic(max(m.f.extent), 5):
+            res.reports.append(V.verify_isotropic_estimate(m, p, d))
 
 
-# --- per-experiment job builders --------------------------------------------------
-
-def _jobs_rearr_estimate(members, opts):
-    jobs = []
-    for m in members:
-        def job(m=m):
-            res = ExperimentResult()
-            for p in P_GRID:
-                for d in _dyadic(_max_extent(m.f), 5):
-                    res.reports.append(V.verify_isotropic_estimate(m, p, d))
-            return res
-        jobs.append(job)
-    return jobs
-
-
-def _jobs_aniso_estimate(members, opts):
-    jobs = []
-    for m in members:
-        f = m.f
-        if f.dims < 2:
-            continue
-        def job(m=m, f=f):
-            res = ExperimentResult()
-            for order in (tuple(range(f.dims)), tuple(reversed(range(f.dims)))):
-                gauge = m.gauge(order)
-                res.reports.extend(V.verify_gauge_product(m, order))
-                if f.dims == 2:
-                    hs = _dyadic(_max_extent(f), 6)
-                    res.reports.extend(V.verify_anisotropic_estimate(m, 1.0, order, hs))
-                for i, t in enumerate(gauge.t_values):
-                    for j in range(f.dims):
-                        res.gauge_rows.append((
-                            m.function_id, "".join(str(k) for k in order), float(t), j,
-                            float(gauge.mu[i, j]), float(gauge.u[i, j]),
-                            float(gauge.shell_counts[i, j + 1] * gauge.cell_volume),
-                            float(gauge.projection_counts[i, j] * gauge.cell_volume
-                                  / f.cell_sizes[j]),
-                        ))
-            return res
-        jobs.append(job)
-    return jobs
+def _aniso_estimate(m, opts, res):
+    f = m.f
+    for order in (tuple(range(f.dims)), tuple(reversed(range(f.dims)))):
+        gauge = m.gauge(order)
+        res.reports.extend(V.verify_gauge_product(m, order))
+        if f.dims == 2:
+            hs = _dyadic(max(f.extent), 6)
+            res.reports.extend(V.verify_anisotropic_estimate(m, 1.0, order, hs))
+        for i, t in enumerate(gauge.t_values):
+            for j in range(f.dims):
+                res.gauge_rows.append((
+                    m.function_id, "".join(str(k) for k in order), float(t), j,
+                    float(gauge.mu[i, j]), float(gauge.u[i, j]),
+                    float(gauge.shell_counts[i, j + 1] * gauge.cell_volume),
+                    float(gauge.projection_counts[i, j] * gauge.cell_volume
+                          / f.cell_sizes[j]),
+                ))
 
 
-def _jobs_embedding(members, opts):
-    jobs = []
-    for m in members:
-        if m.f.dims != 2:
-            continue
-        for p, beta_js, theta_js in EMBEDDING_POINTS:
-            def job(m=m, p=p, beta_js=beta_js, theta_js=theta_js):
-                res = ExperimentResult()
-                params = derive_params(p, beta_js, theta_js, m.f.dims)
-                res.reports.extend(V.verify_embedding(m, params, order=(0, 1)))
-                return res
-            jobs.append(job)
-    return jobs
+def _embedding(m, opts, res):
+    for p, beta_js, theta_js in EMBEDDING_POINTS:
+        params = derive_params(p, beta_js, theta_js, m.f.dims)
+        res.reports.extend(V.verify_embedding(m, params, order=(0, 1)))
 
 
-def _jobs_limit_sweep(members, opts):
-    m_max = int(opts.get("m_max", 8))
-    jobs = []
-    for m in members:
-        if m.f.dims != 2 or "hat-multilinear" not in m.function_id:
-            continue
-        def job(m=m):
-            res = ExperimentResult()
-            tw, tc, reps = V.limiting_sweep(m, 1.0, (1.0, 1.0), m_max)
-            res.traces.extend([tw, tc])
-            res.reports.extend(reps)
-            res.reports.append(V.verify_lipschitz_endpoint(m, 1.0))
-            return res
-        jobs.append(job)
-    return jobs
+def _limit_sweep(m, opts, res):
+    tw, tc, reps = V.limiting_sweep(m, 1.0, (1.0, 1.0), opts["m_max"])
+    res.traces.extend([tw, tc])
+    res.reports.extend(reps)
+    res.reports.append(V.verify_lipschitz_endpoint(m, 1.0))
 
 
-def _jobs_bbm(members, opts):
-    m_max = int(opts.get("m_max", 8))
-    jobs = []
-    for m in members:
-        fid, f = m.function_id, m.f
-        if "hat-multilinear" in fid and f.dims == 1:
-            def job_limits(m=m):
-                res = ExperimentResult()
-                for theta in (1.0, 2.0):
-                    res.traces.append(V.verify_limit_relations(m, 0, 1.0, theta, m_max))
-                res.traces.append(V.verify_gagliardo_limit(m, 1.0, min(m_max, 6)))
-                return res
-            jobs.append(job_limits)
-        if "hat-multilinear" in fid or (f.dims == 1 and "indicator" in fid):
-            def job_sobolev(m=m):
-                res = ExperimentResult()
-                for alpha in (0.5, 0.75):
-                    res.reports.extend(V.verify_fractional_sobolev(m, 1.0, alpha))
-                return res
-            jobs.append(job_sobolev)
-    return jobs
+def _bbm(m, opts, res):
+    m_max = opts["m_max"]
+    if "hat-multilinear" in m.function_id and m.f.dims == 1:
+        for theta in (1.0, 2.0):
+            res.traces.append(V.verify_limit_relations(m, 0, 1.0, theta, m_max))
+        res.traces.append(V.verify_gagliardo_limit(m, 1.0, min(m_max, 6)))
+    for alpha in (0.5, 0.75):
+        res.reports.extend(V.verify_fractional_sobolev(m, 1.0, alpha))
 
 
-def _jobs_modulus_lemmas(members, opts):
-    jobs = []
-    for m in members:
-        def job(m=m):
-            res = ExperimentResult()
-            f = m.f
-            for p in P_GRID:
-                res.reports.extend(V.verify_modulus_lemmas(m, p, _dyadic(_max_extent(f), 16)))
-                # the 1-D comparison lives on [0, 1], so its shifts are fractions of 1
-                top = 1.0 if f.dims == 1 else _max_extent(f)
-                res.reports.extend(V.verify_rearrangement_modulus(m, p, _dyadic(top, 8)))
-            return res
-        jobs.append(job)
-    return jobs
+def _modulus_lemmas(m, opts, res):
+    f = m.f
+    for p in P_GRID:
+        res.reports.extend(V.verify_modulus_lemmas(m, p, _dyadic(max(f.extent), 16)))
+        # the 1-D comparison lives on [0, 1], so its shifts are fractions of 1
+        top = 1.0 if f.dims == 1 else max(f.extent)
+        res.reports.extend(V.verify_rearrangement_modulus(m, p, _dyadic(top, 8)))
 
 
-def _jobs_appendix(members, opts):
-    jobs = []
-    for m in members:
-        f = m.f
-        if any(o != 0.0 for o in f.origin):
-            continue
-        def job(m=m, f=f):
-            res = ExperimentResult()
-            res.reports.extend(V.verify_box_operator(m, (1.0, 2.0), (-0.5, 0.5, 2.0)))
-            if f.halfspace:
-                cmin = min(f.cell_sizes)
-                for p in P_GRID:
-                    res.reports.extend(V.verify_axis_decrement(
-                        m, p, (2.0, 4.0), (cmin, 2.0 * cmin, 4.0 * cmin)))
-            return res
-        jobs.append(job)
-    return jobs
+def _appendix(m, opts, res):
+    f = m.f
+    res.reports.extend(V.verify_box_operator(m, (1.0, 2.0), (-0.5, 0.5, 2.0)))
+    if f.halfspace:
+        cmin = min(f.cell_sizes)
+        for p in P_GRID:
+            res.reports.extend(V.verify_axis_decrement(
+                m, p, (2.0, 4.0), (cmin, 2.0 * cmin, 4.0 * cmin)))
+
+
+def _run(m: Member, runner, opts: dict) -> ExperimentResult:
+    res = ExperimentResult()
+    runner(m, opts, res)
+    return res
+
+
+def _member_jobs(runner, runs_on=lambda f, fid: True):
+    """Job builder of a runner: one ``partial(_run, member, ...)`` per member it runs on."""
+    def build(members, opts):
+        return [partial(_run, m, runner, opts) for m in members if runs_on(m.f, m.function_id)]
+    return build
 
 
 _JOB_BUILDERS = {
-    "rearr-estimate": _jobs_rearr_estimate,
-    "aniso-estimate": _jobs_aniso_estimate,
-    "embedding": _jobs_embedding,
-    "limit-sweep": _jobs_limit_sweep,
-    "bbm": _jobs_bbm,
-    "modulus-lemmas": _jobs_modulus_lemmas,
-    "appendix": _jobs_appendix,
+    "rearr-estimate": _member_jobs(_rearr_estimate),
+    "aniso-estimate": _member_jobs(_aniso_estimate, lambda f, fid: f.dims >= 2),
+    "embedding": _member_jobs(_embedding, lambda f, fid: f.dims == 2),
+    "limit-sweep": _member_jobs(_limit_sweep,
+                                lambda f, fid: f.dims == 2 and "hat-multilinear" in fid),
+    "bbm": _member_jobs(_bbm, lambda f, fid: "hat-multilinear" in fid
+                        or (f.dims == 1 and "indicator" in fid)),
+    "modulus-lemmas": _member_jobs(_modulus_lemmas),
+    "appendix": _member_jobs(_appendix, lambda f, fid: not any(o != 0.0 for o in f.origin)),
 }
+EXPERIMENTS = tuple(_JOB_BUILDERS)
+
+
+def _options(opts: dict) -> dict:
+    """``opts`` with the default m_max filled in; an unknown key or a bad m_max raises."""
+    unknown = sorted(set(opts) - {"m_max"})
+    if unknown:
+        raise ParameterError(f"unknown options {unknown}; known: ['m_max']")
+    m_max = opts.get("m_max", 8)
+    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 1:
+        raise ParameterError(f"m_max must be an integer >= 1, got {m_max!r}")
+    return {"m_max": int(m_max)}
 
 
 def run_experiment(name: str | Sequence[str], corpus, budgets: BudgetFile | None = None,
@@ -237,14 +195,20 @@ def run_experiment(name: str | Sequence[str], corpus, budgets: BudgetFile | None
     ``corpus`` lists (function_id, f) pairs; each is wrapped in one ``Member``
     that all jobs of the call share.  The verifiers give calibrated
     inequalities an infinite budget; with ``budgets`` given, each such report
-    gets its budget from that file once the jobs are merged.
+    gets its budget from that file once the jobs are merged.  ``opts`` takes
+    one key, ``m_max`` (an integer >= 1, default 8), the dyadic depth of the
+    limit traces.  An unknown key, a bad ``m_max`` or a function id that the
+    corpus repeats raises ``ParameterError``.
     """
-    opts = opts or {}
+    opts = _options(opts or {})
     names = EXPERIMENTS if name == "all" else (name,) if isinstance(name, str) else tuple(name)
     for n in names:
         if n not in _JOB_BUILDERS:
             raise ParameterError(f"unknown experiment {n!r}; known: {EXPERIMENTS + ('all',)}")
     members = [Member(f, fid) for fid, f in corpus]
+    repeated = sorted(fid for fid, n in Counter(m.function_id for m in members).items() if n > 1)
+    if repeated:
+        raise ParameterError(f"repeated function ids in the corpus: {repeated}")
     jobs = []
     for n in names:
         jobs.extend(_JOB_BUILDERS[n](members, opts))

@@ -206,7 +206,9 @@ def _running_max_curve(prof: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarr
     running max m of the earlier nodes from below m, the crossing
     j*c + c (m - lo) / (hi - lo) becomes a node.  Interior nodes level with
     both neighbours are dropped; that also drops the node j*c when the
-    crossing rounds onto it, since both sit at m after a node at m.
+    crossing rounds onto it, since both sit at m after a node at m.  A
+    crossing that rounds onto the end node (j + 1)*c would repeat that
+    delta, so a node whose delta equals the next node's is dropped too.
     """
     top = np.maximum.accumulate(prof)
     lo, hi, m = prof[:-1], prof[1:], top[:-1]
@@ -227,7 +229,9 @@ def _running_max_curve(prof: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarr
     d, w = d[keep], w[keep]
     flat = np.zeros(d.size, dtype=bool)
     flat[1:-1] = (w[1:-1] == w[:-2]) & (w[1:-1] == w[2:])
-    return d[~flat], w[~flat]
+    d, w = d[~flat], w[~flat]
+    last = np.append(d[:-1] != d[1:], True)
+    return d[last], w[last]
 
 
 def modulus_curve(f: GridFunction, k: int, p: float) -> ModulusCurve:

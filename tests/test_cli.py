@@ -9,7 +9,7 @@ from agf import (AgfError, CorpusSpec, Member, ValidationError, calibrate_from_r
                  corpus_hash, default_corpus, generate_corpus, load_budgets, run_experiment,
                  verify_gagliardo_limit)
 from agf.cli import _BUDGET_EXPERIMENTS, main, parse_config
-from agf.experiments import ExperimentResult
+from agf.experiments import EXPERIMENTS, ExperimentResult
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _COMMITTED_BUDGETS = os.path.join(_ROOT, "calibration", "budgets.json")
@@ -309,3 +309,10 @@ def test_readme_flags_match_the_run_parser(capsys):
         assert main(argv) == 0
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
     assert _readme_flags() == flags
+
+
+def test_readme_experiments_line_names_every_experiment():
+    with open(_README) as fh:
+        text = fh.read()
+    paragraph = text[text.index("Experiments:"):].split("\n\n", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", paragraph) == list(EXPERIMENTS) + ["all"]

@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from agf import (
     ParameterError,
+    besov_seminorm,
+    interval_curve_1d,
     interval_modulus_1d,
     lp_norm,
     make_grid_function,
@@ -19,6 +21,7 @@ from agf import (
     steklov_distance,
     steklov_mean,
 )
+from agf.experiments import EMBEDDING_POINTS
 from agf.moduli import _steklov_weights
 
 
@@ -164,3 +167,29 @@ def test_modulus_axioms_on_sampled_tent():
     f = make_grid_function(vals, 1 / 32)
     report = modulus_axioms_check(modulus_curve(f, 0, 1.0))
     assert report.all_passed, "\n".join(report.lines())
+
+
+def test_crossing_onto_the_end_node_adds_no_repeated_node():
+    # on segment [2, 3] the running max is crossed one ulp before the end node 3
+    f = make_grid_function([3.0, 0.0, 4.0, 0.0, 5.0], (1.0,))
+    assert modulus_curve(f, 0, 1.5).deltas.tolist() == [0.0, 1.0, 3.0, 5.0]
+    for p, beta_js, theta_js in EMBEDDING_POINTS:
+        curve = modulus_curve(f, 0, p)
+        assert np.all(np.diff(curve.deltas) > 0)
+        for beta, theta in zip(beta_js, theta_js):
+            assert np.isfinite(besov_seminorm(curve, beta, theta))
+
+
+@given(st.integers(1, 2).flatmap(
+           lambda n: arrays(np.float64, st.lists(st.integers(1, 6), min_size=n, max_size=n)
+                            .map(tuple), elements=st.integers(0, 6).map(float))),
+       st.sampled_from([0.5, 1.0, 0.3]), st.sampled_from([1.0, 1.5, 2.0]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_curve_deltas_increase_strictly(vals, c, p):
+    f = make_grid_function(vals, (c,) * vals.ndim)
+    curves = [modulus_curve(f, k, p) for k in range(f.dims)]
+    if f.dims == 1:
+        curves.append(interval_curve_1d(f, p))
+    for curve in curves:
+        assert curve.deltas[0] == 0.0
+        assert np.all(np.diff(curve.deltas) > 0)
