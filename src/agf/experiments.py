@@ -97,15 +97,13 @@ def _aniso_estimate(m, opts, res):
         if f.dims == 2:
             hs = _dyadic(max(f.extent), 6)
             res.reports.extend(V.verify_anisotropic_estimate(m, 1.0, order, hs))
-        for i, t in enumerate(gauge.t_values):
-            for j in range(f.dims):
-                res.gauge_rows.append((
-                    m.function_id, "".join(str(k) for k in order), float(t), j,
-                    float(gauge.mu[i, j]), float(gauge.u[i, j]),
-                    float(gauge.shell_counts[i, j + 1] * gauge.cell_volume),
-                    float(gauge.projection_counts[i, j] * gauge.cell_volume
-                          / f.cell_sizes[j]),
-                ))
+        key = "".join(str(k) for k in order)
+        achieved = gauge.shell_counts[:, 1:] * gauge.cell_volume
+        projected = gauge.projection_counts * gauge.cell_volume / f.cell_sizes
+        for t, *axes in zip(gauge.t_values.tolist(), gauge.mu.tolist(), gauge.u.tolist(),
+                            achieved.tolist(), projected.tolist()):
+            res.gauge_rows.extend((m.function_id, key, t, j, *row)
+                                  for j, row in enumerate(zip(*axes)))
 
 
 def _embedding(m, opts, res):
@@ -202,9 +200,11 @@ def run_experiment(name: str | Sequence[str], corpus, budgets: BudgetFile | None
     """
     opts = _options(opts or {})
     names = EXPERIMENTS if name == "all" else (name,) if isinstance(name, str) else tuple(name)
+    # a sequence holds experiment names only: 'all' is known as a name of its own
+    known = EXPERIMENTS + ("all",) if isinstance(name, str) else EXPERIMENTS
     for n in names:
         if n not in _JOB_BUILDERS:
-            raise ParameterError(f"unknown experiment {n!r}; known: {EXPERIMENTS + ('all',)}")
+            raise ParameterError(f"unknown experiment {n!r}; known: {known}")
     members = [Member(f, fid) for fid, f in corpus]
     repeated = sorted(fid for fid, n in Counter(m.function_id for m in members).items() if n > 1)
     if repeated:

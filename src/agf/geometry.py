@@ -3,7 +3,8 @@ the anisotropic gauge construction, and the dyadic-box averaging operator.
 
 All set arithmetic is exact integer cell counting; tie-breaking is
 lexicographic everywhere, so the whole pipeline is a pure function of its
-input.
+input.  Level sets are prefixes of ``strict_order`` (value descending, flat
+index ascending) of the function itself; no strictified copy is built.
 
 The gauge puts every dyadic shell through each minimal-projection step at
 once: one bincount and one lexsort per axis over all (lattice point, cell)
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 from .grid import GridFunction
-from .rearrange import iterated_rearrangement, strict_order, strictify
+from .rearrange import iterated_rearrangement, strict_order
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def loomis_whitney_check(E: CellSet) -> LoomisWhitneyReport:
 # --- superlevel sets and chains -------------------------------------------------
 
 def superlevel_filling(f: GridFunction, t: float) -> CellSet:
-    """The first t/v cells of a strictified function in its strict value order."""
+    """The first t/v cells of f in its strict value order ``strict_order(f)``."""
     v = f.cell_volume
     k = t / v
     ki = round(k)
@@ -277,12 +278,13 @@ def default_t_grid(f: GridFunction) -> np.ndarray:
 
 
 def build_gauge(f: GridFunction, order, t_values=None) -> AnisotropicGauge:
-    """Construct the anisotropic gauge for the strictified iterated rearrangement.
+    """Construct the anisotropic gauge of the iterated rearrangement g of f.
 
     For each lattice measure t (divisible by twice the cell volume) the dyadic
     shell G_t is the slab of cells between the t/2- and t-prefixes of the
-    strict order; the minimal-projection chain supplies G_{t,j}, and
-    mu_j(t) = 2^((n^2 - 1)/n) * projection measure of G_{t,j}.
+    strict order of g, which ``strictify`` keeps; the minimal-projection
+    chain supplies G_{t,j}, and mu_j(t) = 2^((n^2 - 1)/n) * projection
+    measure of G_{t,j}.
 
     All shells go through each chain step together, as one array of
     (lattice point, cell) pairs: one bincount gives the section count of every
@@ -296,7 +298,7 @@ def build_gauge(f: GridFunction, order, t_values=None) -> AnisotropicGauge:
     per shell; ``cellsets`` rebuilds those chains only when read.
     """
     order = tuple(int(k) for k in order)
-    g = strictify(iterated_rearrangement(f, order))
+    g = iterated_rearrangement(f, order)
     n = g.dims
     v = g.cell_volume
     supp = int(np.count_nonzero(g.values))

@@ -85,23 +85,18 @@ def strictify(f: GridFunction) -> GridFunction:
     """Perturb a monotone function into one with strictly ordered cell values.
 
     Jitter is deterministic (proportional to the rank in the canonical strict
-    order) and smaller than half the smallest nonzero value gap, so the value
-    order of distinct cells is preserved and the result stays nonincreasing in
-    each variable.  Level-set constructions downstream consume the order;
-    reported norms must keep using the original values.
+    order) and smaller than half the smallest gap between the levels, 0 among
+    them, so the value order of distinct cells is preserved, positive cells
+    stay positive and the result stays nonincreasing in each variable.  Its
+    order is ``strict_order(f)``, which level-set constructions read from f.
     """
     if not is_mdec(f):
         raise PreconditionError("strictify requires a function nonincreasing in each variable")
     order = strict_order(f)
     flat = f.values.ravel()
     ncells = flat.size
-    distinct = np.unique(flat)
-    gaps = np.diff(distinct)
-    if distinct.size > 1:
-        eta = float(np.min(gaps)) / (2.0 * ncells + 2.0)
-    else:
-        scale = float(distinct[0]) if distinct[0] > 0 else 1.0
-        eta = scale / (2.0 * ncells + 2.0)
+    gaps = np.diff(np.union1d(flat, 0.0))
+    eta = (float(np.min(gaps)) if gaps.size else 1.0) / (2.0 * ncells + 2.0)
     out = flat.copy()
     ranks = np.empty(ncells, dtype=np.float64)
     ranks[order] = np.arange(ncells, dtype=np.float64)

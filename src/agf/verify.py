@@ -125,8 +125,12 @@ def _report(inequality_id, function_id, n, params, lhs, rhs, truncation="",
             degenerate=False) -> InequalityReport:
     """A report on an n-dimensional input, its budget read from ``INEQUALITIES``.
 
-    A hard id gets its stated constant, a calibrated id gets inf.
+    A hard id gets its stated constant, a calibrated id gets inf.  A NaN side
+    keeps the verdict ``fail`` and is named in the truncation.
     """
+    nan = " and ".join(side for side, v in (("lhs", lhs), ("rhs", rhs)) if math.isnan(v))
+    if nan:
+        truncation = "; ".join(filter(None, (truncation, f"NaN {nan}")))
     rule = INEQUALITIES[inequality_id]
     budget = math.inf if rule is None else rule(n, params)
     return InequalityReport(inequality_id, function_id, params, lhs, rhs, budget,
@@ -153,8 +157,9 @@ class Member:
     rearrangement (``star``), the dyadic decrement f*(t) - f*(2t) of f*
     (``decrement``), the decrement sums at p (``sums(p)``), the Gagliardo
     offset sums at p (``gagliardo_sums(p)``), the gauge of a rearrangement
-    order (``gauge(order)``) and the record of the iterated rearrangement of
-    an order (``iterated(order)``).
+    order (``gauge(order)``), the record of the iterated rearrangement of an
+    order (``iterated(order)``) and the Gauss panels of the box operator
+    (``box_panels``).
     """
 
     def __init__(self, f: GridFunction, function_id: str = ""):
@@ -201,6 +206,11 @@ class Member:
         order = tuple(int(k) for k in order)
         return self._item(("iterated", order), lambda: Member(
             iterated_rearrangement(self.f, order), self.function_id))
+
+    @property
+    def box_panels(self) -> list[BoxPanels]:
+        """``box_panels(f)``."""
+        return self._item("box_panels", lambda: box_panels(self.f))
 
 
 # --- isotropic rearrangement estimate -------------------------------------------
@@ -320,46 +330,38 @@ def verify_anisotropic_estimate(m: Member, p: float, order, h_values) -> list[In
     * sup form:       max over t in Omega of t^(1/p) phi(t) / u_j(t)
       <=  c omega_j(f; h)_p / h
 
-    The moduli on the right are those of the original f.
+    The moduli on the right are those of the original f.  The integral form
+    adds the terms of Omega in lattice order, with u_j(t)^p a scalar power.
     """
-    if p < 1:
+    if not p >= 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     _check_shifts(h_values, "shift h")
     order = tuple(int(k) for k in order)
     gauge = m.gauge(order)
-    n = m.f.dims
-    function_id = m.function_id
-    phi = m.decrement
-    reports: list[InequalityReport] = []
-    curves = m.curves(p)
+    n, function_id = m.f.dims, m.function_id
+    cases = [(j, h, {"p": p, "order": list(order), "axis": j, "h": float(h)})
+             for j in range(n) for h in h_values]
+    ids = ("aniso-gauge-integral", "aniso-gauge-sup")
     tv = gauge.t_values
-    t_prev = np.concatenate([[0.0], tv[:-1]]) if tv.size else tv
-    # the terms of lattice point i, shared by every (axis, h)
-    window = [phi.window_power_integral(t_prev[i], tv[i], p) for i in range(tv.size)]
-    peak = [tv[i] ** (1.0 / p) * float(phi(tv[i])) for i in range(tv.size)]
-    for j in range(n):
-        for h in h_values:
-            params = {"p": p, "order": list(order), "axis": j, "h": float(h)}
-            if gauge.degenerate or tv.size == 0:
-                for iid in ("aniso-gauge-integral", "aniso-gauge-sup"):
-                    reports.append(_degenerate(iid, function_id, n, params, "degenerate gauge"))
-                continue
-            mask = gauge.omega_mask(j, h)
-            omega = float(curves[j](h))
-            if not np.any(mask):
-                for iid in ("aniso-gauge-integral", "aniso-gauge-sup"):
-                    reports.append(_degenerate(iid, function_id, n, params, "empty domain"))
-                continue
-            lhs_int = 0.0
-            lhs_sup = 0.0
-            for i in np.flatnonzero(mask):
-                u = gauge.u[i, j]
-                lhs_int += window[i] / u**p
-                lhs_sup = max(lhs_sup, peak[i] / u)
-            reports.append(_report("aniso-gauge-integral", function_id, n, params,
-                                   lhs_int, (omega / h) ** p, "lattice sum"))
-            reports.append(_report("aniso-gauge-sup", function_id, n, params,
-                                   lhs_sup, omega / h, "lattice sup"))
+    if gauge.degenerate or tv.size == 0:
+        return [_degenerate(iid, function_id, n, prm, "degenerate gauge")
+                for _, _, prm in cases for iid in ids]
+    phi, curves = m.decrement, m.curves(p)
+    t_prev = np.concatenate([[0.0], tv[:-1]])
+    window = np.array([phi.window_power_integral(a, b, p) for a, b in zip(t_prev, tv)])
+    peak = np.array([t ** (1.0 / p) for t in tv]) * phi(tv)
+    reports: list[InequalityReport] = []
+    for j, h, prm in cases:
+        mask = gauge.omega_mask(j, h)
+        if not np.any(mask):
+            reports += [_degenerate(iid, function_id, n, prm, "empty domain") for iid in ids]
+            continue
+        omega = float(curves[j](h))
+        lhs_int = float(np.cumsum(window[mask] / [u**p for u in gauge.u[mask, j]])[-1])
+        lhs_sup = max(0.0, float(np.max(peak[mask] / gauge.u[mask, j])))
+        reports.append(_report(ids[0], function_id, n, prm, lhs_int, (omega / h) ** p,
+                               "lattice sum"))
+        reports.append(_report(ids[1], function_id, n, prm, lhs_sup, omega / h, "lattice sup"))
     return reports
 
 
@@ -370,17 +372,12 @@ def verify_gauge_product(m: Member, order) -> list[InequalityReport]:
     """
     order = tuple(int(k) for k in order)
     gauge = m.gauge(order)
-    n = m.f.dims
-    function_id = m.function_id
+    n, function_id = m.f.dims, m.function_id
     params = {"order": list(order)}
     if gauge.degenerate or gauge.t_values.size == 0:
         return [_degenerate("gauge-product", function_id, n, params, "degenerate gauge")]
-    reports = []
-    for i, t in enumerate(gauge.t_values):
-        prod = float(np.prod(gauge.u[i]))
-        reports.append(_report("gauge-product", function_id, n,
-                               {**params, "t": float(t)}, prod, float(t)))
-    return reports
+    return [_report("gauge-product", function_id, n, {**params, "t": t}, prod, t)
+            for t, prod in zip(gauge.t_values.tolist(), np.prod(gauge.u, axis=1).tolist())]
 
 
 # --- embedding into Lorentz spaces -------------------------------------------------
@@ -727,13 +724,12 @@ class BoxPanels(NamedTuple):
     where the box average has kinks, under the substitution x = s^2.
     ``nodes`` holds the Gauss nodes in s, ``half_weights`` their Gauss
     weights times the panel half-width, and ``box`` the box matrix W of the
-    axis at x = nodes^2, one column per cell of size ``cell_size``.
+    axis at x = nodes^2, one column per cell.
     """
 
     nodes: np.ndarray
     half_weights: np.ndarray
     box: np.ndarray
-    cell_size: float
 
     def weights(self, a: float) -> np.ndarray:
         """Quadrature weights in x for the weight x^a (Jacobian 2 s included)."""
@@ -758,12 +754,11 @@ def box_panels(phi: GridFunction) -> list[BoxPanels]:
         half = 0.5 * (se[1:] - se[:-1])
         sn = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
         hw = (half[:, None] * gw[None, :]).ravel()
-        out.append(BoxPanels(sn, hw, box_weights(sn**2, s, c), c))
+        out.append(BoxPanels(sn, hw, box_weights(sn**2, s, c)))
     return out
 
 
-def box_operator_weighted_integral(phi: GridFunction, r: float, a: float,
-                                   panels=None) -> float:
+def box_operator_weighted_integral(m: Member, r: float, a: float) -> float:
     """Quadrature for the integral of (box average of phi)^r * pi(x)^a over the orthant.
 
     Per-axis substitution x = s^2 removes the a = -1/2 singularity; panels are
@@ -784,27 +779,24 @@ def box_operator_weighted_integral(phi: GridFunction, r: float, a: float,
       chunks over axis 0, ``_BOX_CHUNK`` values at a time, so memory stays
       bounded.
 
-    ``panels`` holds ``box_panels(phi)`` when the caller has them.
+    phi is ``m.f``; ``m.box_panels`` holds the Gauss panels of each axis.
     """
     if a <= -1.0:
         raise ParameterError(f"the weight is integrable only for a > -1, got {a}")
+    phi = m.f
     if any(o != 0.0 for o in phi.origin):
         raise PreconditionError("the box operator lives on grids anchored at the origin")
-    if panels is None:
-        panels = box_panels(phi)
-    elif [(pn.box.shape[1], pn.cell_size) for pn in panels] != list(zip(phi.shape, phi.cell_sizes)):
-        raise PreconditionError("box panels were built for another grid")
-    weights = [pn.weights(a) for pn in panels]
-    mats = [pn.box for pn in panels]
+    weights = [pn.weights(a) for pn in m.box_panels]
+    mats = [pn.box for pn in m.box_panels]
     if r == 1:
         out = phi.values
-        for w, m in zip(weights, mats):
-            out = np.tensordot(w @ m, out, axes=([0], [0]))
+        for w, mat in zip(weights, mats):
+            out = np.tensordot(w @ mat, out, axes=([0], [0]))
         return float(out)
     if r == 2 and phi.dims > 1:
-        grams = [(m * w[:, None]).T @ m for w, m in zip(weights, mats)]
+        grams = [(mat * w[:, None]).T @ mat for w, mat in zip(weights, mats)]
         return float(np.vdot(phi.values, contract_axes(phi.values, grams)))
-    rest = math.prod(m.shape[0] for m in mats[1:])
+    rest = math.prod(mat.shape[0] for mat in mats[1:])
     step = max(1, _BOX_CHUNK // rest)
     total = 0.0
     for i in range(0, mats[0].shape[0], step):
@@ -832,62 +824,55 @@ def verify_box_operator(m: Member, rs, a_values) -> list[InequalityReport]:
         ratio = float(np.max(np.where(tfield.values > 0,
                                       phi.values / np.maximum(tfield.values, 1e-300), 0.0)))
         reports.append(_report("box-operator-pointwise", function_id, n, {}, ratio, 1.0))
-    panels = None if zero else box_panels(phi)
     for r in rs:
         for a in a_values:
             params = {"r": float(r), "a": float(a)}
             if zero:
                 reports.append(_degenerate("box-operator-weight", function_id, n, params))
                 continue
-            lhs = box_operator_weighted_integral(phi, r, a, panels=panels)
+            lhs = box_operator_weighted_integral(m, r, a)
             rhs_base = _orthant_weight_integral(phi.with_values(phi.values**r), a)
             reports.append(_report("box-operator-weight", function_id, n, params,
                                    lhs, rhs_base, "panel quadrature"))
     return reports
 
 
-def axis_decrement_integral(f: GridFunction, k: int, mu: float, h: float, p: float) -> float:
+def axis_decrement_integral(f: GridFunction, k: int, mu: float, h, p: float):
     """Exact 1/p-power of the column integral of u^(-p) (f(u) - f(mu u))^p over u > h.
 
     f must be coordinate-wise nonincreasing on the orthant; per column the
     integrand is piecewise constant between the cell edges and their mu-th
     shrinkings, so each piece integrates in closed form (log form at p = 1).
+    h is a scalar or an array; each h cuts the piece it falls in (its cells
+    read at the cut piece's own midpoint) and adds its pieces left to right.
     """
     if mu <= 1.0:
         raise ParameterError(f"mu must be > 1, got {mu}")
-    if h <= 0:
-        raise ParameterError(f"h must be > 0, got {h}")
+    hs = np.ravel(h).astype(np.float64)
+    _check_shifts(hs, "h")
     if not is_mdec(f):
         raise PreconditionError("the axis decrement bound needs a coordinate-wise nonincreasing f")
-    a = np.moveaxis(f.values, k, 0)
-    nk = a.shape[0]
-    c = f.cell_sizes[k]
-    colvol = f.cell_volume / c
-    top = nk * c
-    edges = np.unique(np.concatenate([
-        np.arange(nk + 1, dtype=np.float64) * c,
-        np.arange(nk + 1, dtype=np.float64) * c / mu,
-        [h],
-    ]))
-    edges = edges[(edges >= h) & (edges <= top)]
-    if edges.size < 2:
-        return 0.0
-    cols = a.reshape(nk, -1)
-    zero_row = np.zeros(cols.shape[1])
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        midu = 0.5 * (lo + hi)
-        iu = int(midu // c)
-        imu = int(mu * midu // c)
-        fu = cols[iu] if iu < nk else zero_row
-        fmu = cols[imu] if imu < nk else zero_row
-        diff = fu - fmu
-        if p == 1.0:
-            w = math.log(hi / lo)
-        else:
-            w = (lo ** (1.0 - p) - hi ** (1.0 - p)) / (p - 1.0)
-        total += w * float(np.sum(diff**p))
-    return (total * colvol) ** (1.0 / p)
+    nk, c = f.shape[k], f.cell_sizes[k]
+    # row i holds cell i along axis k of every column; row nk is 0, past the grid
+    cols = np.pad(np.moveaxis(f.values, k, 0).reshape(nk, -1), ((0, 1), (0, 0)))
+    edges = np.unique(np.concatenate([np.arange(nk + 1, dtype=np.float64) * c,
+                                      np.arange(nk + 1, dtype=np.float64) * c / mu]))
+
+    def terms(lo, hi):
+        mid = 0.5 * (lo + hi)
+        diff = (cols[np.minimum(mid // c, nk).astype(np.intp)]
+                - cols[np.minimum(mu * mid // c, nk).astype(np.intp)])
+        w = [math.log(b / a) if p == 1.0 else (a ** (1.0 - p) - b ** (1.0 - p)) / (p - 1.0)
+             for a, b in zip(lo, hi)]
+        return np.array(w) * np.sum(diff**p, axis=1)
+
+    whole = terms(edges[1:-1], edges[2:])  # the piece from edges[q] is whole[q - 1]
+    first = np.searchsorted(edges, hs, side="right")  # the edge above each h
+    cut = terms(hs, edges[np.minimum(first, edges.size - 1)])
+    totals = [np.cumsum(np.concatenate([[t], whole[q - 1:]]))[-1] * (f.cell_volume / c)
+              if q < edges.size else 0.0 for t, q in zip(cut, first.tolist())]
+    out = np.array([float(x ** (1.0 / p)) for x in totals]).reshape(np.shape(h))
+    return out if out.ndim else float(out)
 
 
 def verify_axis_decrement(m: Member, p: float, mus, h_values) -> list[InequalityReport]:
@@ -902,14 +887,13 @@ def verify_axis_decrement(m: Member, p: float, mus, h_values) -> list[Inequality
     n = f.dims
     zero = f.support_cells == 0
     for k in range(n):
-        curve = None if zero else m.curves(p)[k]
         for mu in mus:
-            for h in h_values:
-                params = {"p": p, "axis": k, "mu": float(mu), "h": float(h)}
-                if zero:
-                    reports.append(_degenerate("axis-decrement", function_id, n, params))
-                    continue
-                lhs = axis_decrement_integral(f, k, mu, h, p)
-                rhs = float(curve(h)) / h
-                reports.append(_report("axis-decrement", function_id, n, params, lhs, rhs))
+            params = [{"p": p, "axis": k, "mu": float(mu), "h": float(h)} for h in h_values]
+            if zero:
+                reports += [_degenerate("axis-decrement", function_id, n, prm) for prm in params]
+                continue
+            lhs = axis_decrement_integral(f, k, mu, h_values, p).tolist()
+            curve = m.curves(p)[k]
+            reports += [_report("axis-decrement", function_id, n, prm, v, float(curve(h)) / h)
+                        for prm, v, h in zip(params, lhs, h_values)]
     return reports

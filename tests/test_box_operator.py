@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import agf.verify
-from agf import (CorpusSpec, ParameterError, PreconditionError, default_corpus, generate_corpus,
-                 make_grid_function, run_experiment)
+from agf import (CorpusSpec, Member, ParameterError, PreconditionError, default_corpus,
+                 generate_corpus, make_grid_function, run_experiment)
 from agf.geometry import box_average_on_grid, box_weights, cumulative_integral
 from agf.norms import _leggauss
 from agf.verify import box_operator_weighted_integral, box_panels
@@ -137,23 +137,31 @@ def _cell_moments(s, c, a):
 @pytest.mark.parametrize("fid", _LOW_DIM)
 def test_weighted_integral_against_tensor_quadrature(fid):
     f = _CORPUS[fid]
-    panels = box_panels(f)
+    m = Member(f)
     for r, a in _PAIRS:
-        got = box_operator_weighted_integral(f, r, a)
+        got = box_operator_weighted_integral(Member(f), r, a)
         assert got == pytest.approx(_tensor_quadrature(f, r, a), rel=1e-12)
-        assert box_operator_weighted_integral(f, r, a, panels=panels) == got
+        assert box_operator_weighted_integral(m, r, a) == got
 
 
 def test_panels_for_another_grid_are_rejected():
     f = _CORPUS["random-mdec-20240909-0"]
-    for other in ("random-general-20240910-0", "indicator-box-20240905-0",
-                  "random-mdec-20240911-0"):
-        with pytest.raises(PreconditionError):
-            box_operator_weighted_integral(f, 1.0, 0.5, panels=box_panels(_CORPUS[other]))
     shifted = make_grid_function(f.values, f.cell_sizes, origin=(0.5, 0.0))
-    for panels in (None, box_panels(f)):
-        with pytest.raises(PreconditionError):
-            box_operator_weighted_integral(shifted, 1.0, 0.5, panels=panels)
+    with pytest.raises(PreconditionError):
+        box_operator_weighted_integral(Member(shifted), 1.0, 0.5)
+
+
+def test_appendix_builds_the_box_panels_once_per_member(monkeypatch):
+    built = []
+    build = agf.verify.box_panels
+
+    def counted(phi):
+        built.append(id(phi))
+        return build(phi)
+
+    monkeypatch.setattr(agf.verify, "box_panels", counted)
+    run_experiment("appendix", list(_CORPUS.items()))
+    assert sorted(built) == sorted(id(f) for f in _CORPUS.values() if f.support_cells)
 
 
 @pytest.mark.parametrize("fid", list(_CORPUS))
@@ -163,7 +171,8 @@ def test_r1_against_closed_form(fid, a):
     want = f.values
     for s, c in zip(f.shape, f.cell_sizes):
         want = np.tensordot(_cell_moments(s, c, a), want, axes=([0], [0]))
-    assert box_operator_weighted_integral(f, 1.0, a) == pytest.approx(float(want), rel=1e-12)
+    got = box_operator_weighted_integral(Member(f), 1.0, a)
+    assert got == pytest.approx(float(want), rel=1e-12)
 
 
 @pytest.mark.parametrize("fid", _LOW_DIM)
@@ -172,7 +181,7 @@ def test_other_exponents_against_tensor_quadrature(fid):
     f = _CORPUS[fid]
     for r in (1.5, 3.0):
         for a in (-0.5, 2.0):
-            got = box_operator_weighted_integral(f, r, a)
+            got = box_operator_weighted_integral(Member(f), r, a)
             want = _tensor_quadrature(f, r, a)
             assert math.isfinite(got) and got > 0.0
             if math.isfinite(want):
@@ -188,7 +197,8 @@ def test_chunk_size_does_not_change_the_sum(monkeypatch):
     want = _tensor_quadrature(phi, 1.5, 0.5)
     for chunk in (1, 7, 1 << 16):
         monkeypatch.setattr(agf.verify, "_BOX_CHUNK", chunk)
-        assert box_operator_weighted_integral(phi, 1.5, 0.5) == pytest.approx(want, rel=1e-12)
+        got = box_operator_weighted_integral(Member(phi), 1.5, 0.5)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_appendix_checks_the_3d_corpus_members():
@@ -218,7 +228,7 @@ def test_fractional_exponent_memory_stays_below_one_field():
     assert points > 2_000_000
     tracemalloc.start()
     try:
-        got = box_operator_weighted_integral(f, 1.5, 0.5)
+        got = box_operator_weighted_integral(Member(f), 1.5, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -311,6 +311,16 @@ def test_readme_flags_match_the_run_parser(capsys):
     assert _readme_flags() == flags
 
 
+def test_readme_library_entry_points_import():
+    with open(_README) as fh:
+        text = fh.read()
+    section = text[text.index("## Library entry points"):]
+    block = section[section.index("```python\n") + len("```python\n"):]
+    block = block[:block.index("```")]
+    assert "from agf import" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_readme_experiments_line_names_every_experiment():
     with open(_README) as fh:
         text = fh.read()

@@ -66,6 +66,16 @@ def test_good_opts_set_the_trace_depth(opts, points):
         assert not tr.truncated
 
 
+def test_unknown_names_list_the_known_ones():
+    # a sequence holds experiment names only, so 'all' is not known there
+    with pytest.raises(ParameterError) as seq:
+        run_experiment(("all",), _SMALL)
+    assert str(seq.value) == f"unknown experiment 'all'; known: {EXPERIMENTS}"
+    with pytest.raises(ParameterError) as one:
+        run_experiment("every", _SMALL)
+    assert str(one.value) == f"unknown experiment 'every'; known: {EXPERIMENTS + ('all',)}"
+
+
 def test_repeated_function_ids_raise():
     # two specs that differ only in shape give the same ids
     corpus = (generate_corpus(CorpusSpec("indicator-box", (8,), (0.125,), 5000))

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from agf import (
     AnisotropicGauge,
@@ -16,6 +19,7 @@ from agf import (
     make_grid_function,
     minimal_projection_chain,
     projection_profile,
+    run_experiment,
     superlevel_filling,
 )
 from agf.geometry import ChainStep, cumulative_integral, default_t_grid
@@ -308,6 +312,33 @@ def test_array_gauge_matches_projection_chains_on_the_corpus():
             continue
         for order in (tuple(range(f.dims)), tuple(reversed(range(f.dims)))):
             _assert_gauge_matches_chains(f, order)
+
+
+_LEVELS = (0.0, 1.0, 2.0, 3.0, 100.0, 1e6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), zeros=st.booleans(),
+       shape=st.sampled_from([(1, 2), (2, 2), (3, 2), (2, 5), (4, 4), (2, 2, 2), (3, 1, 2)]))
+def test_array_gauge_matches_projection_chains_on_integer_grids(data, zeros, shape):
+    # with and without zero cells, and with wide gaps between the levels
+    levels = _LEVELS if zeros else _LEVELS[1:]
+    vals = data.draw(arrays(np.float64, shape, elements=st.sampled_from(levels)))
+    f = make_grid_function(vals, (0.5, 0.25, 2.0)[:len(shape)])
+    for order in (tuple(range(len(shape))), tuple(reversed(range(len(shape))))):
+        if np.count_nonzero(vals) < 2:
+            assert build_gauge(f, order).degenerate
+        else:
+            _assert_gauge_matches_chains(f, order)
+
+
+def test_gauge_of_a_grid_without_zero_cells():
+    f = make_grid_function([[100.0, 1.0]], (1.0, 1.0))
+    for order in ((0, 1), (1, 0)):
+        gauge = _assert_gauge_matches_chains(f, order)
+        assert gauge.shell_counts.tolist() == [[1, 1, 1]]
+    reps = run_experiment("aniso-estimate", [("wide-gap", f)]).reports
+    assert reps and all(r.verdict != "fail" for r in reps)
 
 
 def test_array_gauge_builds_cellsets_only_when_read():

@@ -98,6 +98,15 @@ def test_strictify_preserves_order_support_and_monotonicity():
     assert flat[strict_order(f)[0]] == flat.max()
 
 
+def test_strictify_counts_zero_among_the_levels():
+    # no cell is 0 and the gap 1 -> 100 is wide: the jitter must stay below 1/2
+    f = make_grid_function([[100.0, 1.0]], (1.0, 1.0))
+    g = strictify(f)
+    assert np.all(g.values > 0) and is_mdec(g)
+    np.testing.assert_array_equal(strict_order(g), strict_order(f))
+    assert np.all(np.abs(g.values - f.values) < 0.5)
+
+
 def test_strictify_requires_monotone():
     f = make_grid_function([1.0, 2.0], 1.0)
     with pytest.raises(PreconditionError):

@@ -4,8 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import agf.geometry
 import agf.moduli
 import agf.norms
+import agf.rearrange
 import agf.verify
 from agf import (
     BesovParams,
@@ -41,7 +43,7 @@ from agf import (
 )
 from agf.rearrange import iterated_rearrangement
 from agf.experiments import EXPERIMENTS
-from agf.verify import (axis_decrement_integral, box_operator_weighted_integral,
+from agf.verify import (_report, axis_decrement_integral, box_operator_weighted_integral,
                         slope_norm_power)
 
 
@@ -226,17 +228,69 @@ def test_axis_decrement_bound_and_guards():
         axis_decrement_integral(f, 0, 2.0, 0.0, 1.0)
 
 
+def _axis_decrement_loop(f, k, mu, h, p):
+    """axis_decrement_integral at one h, one piece at a time."""
+    a = np.moveaxis(f.values, k, 0)
+    nk = a.shape[0]
+    c = f.cell_sizes[k]
+    colvol = f.cell_volume / c
+    top = nk * c
+    edges = np.unique(np.concatenate([
+        np.arange(nk + 1, dtype=np.float64) * c,
+        np.arange(nk + 1, dtype=np.float64) * c / mu,
+        [h],
+    ]))
+    edges = edges[(edges >= h) & (edges <= top)]
+    if edges.size < 2:
+        return 0.0
+    cols = a.reshape(nk, -1)
+    zero_row = np.zeros(cols.shape[1])
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        midu = 0.5 * (lo + hi)
+        iu = int(midu // c)
+        imu = int(mu * midu // c)
+        fu = cols[iu] if iu < nk else zero_row
+        fmu = cols[imu] if imu < nk else zero_row
+        diff = fu - fmu
+        if p == 1.0:
+            w = math.log(hi / lo)
+        else:
+            w = (lo ** (1.0 - p) - hi ** (1.0 - p)) / (p - 1.0)
+        total += w * float(np.sum(diff**p))
+    return (total * colvol) ** (1.0 / p)
+
+
+def test_axis_decrement_rejects_a_bad_h_in_an_array():
+    f = iterated_rearrangement(make_grid_function([[2.0, 1.0], [1.0, 0.0]], (0.5, 0.5)), (0, 1))
+    for bad in (0.0, -0.5, math.nan):
+        with pytest.raises(ParameterError):
+            axis_decrement_integral(f, 0, 2.0, [0.5, bad], 1.0)
+
+
+def test_report_names_a_nan_side_in_the_truncation():
+    nan = math.nan
+    for lhs, rhs, trunc, want in [(1.0, nan, "", "NaN rhs"),
+                                  (nan, 1.0, "", "NaN lhs"),
+                                  (nan, nan, "", "NaN lhs and rhs"),
+                                  (1.0, nan, "lattice sum", "lattice sum; NaN rhs"),
+                                  (1.0, 2.0, "lattice sum", "lattice sum")]:
+        rep = _report("embedding-lorentz", "f", 2, {}, lhs, rhs, trunc)
+        assert rep.truncation == want
+        assert rep.verdict == ("pass" if rhs == 2.0 else "fail")
+
+
 def test_box_operator_weighted_integral_indicator_oracle():
     ind = make_grid_function([1.0], 1.0)
     # T(chi_(0,1])(x) = 1 for x <= 1, 2/x - 1 for 1 <= x <= 2, 0 beyond
-    got = box_operator_weighted_integral(ind, 1.0, 0.0)
+    got = box_operator_weighted_integral(Member(ind), 1.0, 0.0)
     assert got == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
     # a = -1/2 weight on the same profile:
     # integral_0^1 x^(-1/2) + integral_1^2 x^(-1/2) (2/x - 1) = 8 - 4 sqrt(2)
-    got_half = box_operator_weighted_integral(ind, 1.0, -0.5)
+    got_half = box_operator_weighted_integral(Member(ind), 1.0, -0.5)
     assert got_half == pytest.approx(8.0 - 4.0 * math.sqrt(2.0), rel=1e-12)
     with pytest.raises(ParameterError):
-        box_operator_weighted_integral(ind, 1.0, -1.0)
+        box_operator_weighted_integral(Member(ind), 1.0, -1.0)
 
 
 def test_box_operator_reports_hold():
@@ -377,6 +431,57 @@ def test_modulus_lemmas_build_one_profile_per_axis(monkeypatch):
         assert sorted(calls) == list(range(f.dims))
 
 
+def test_run_all_call_counts_of_the_gauge_and_axis_decrement(monkeypatch):
+    calls = Counter()
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    for mod in (agf.rearrange, agf.verify, agf.moduli, agf.norms):
+        counted(mod, "is_mdec")
+    counted(agf.verify, "axis_decrement_integral")
+    counted(agf.rearrange, "strictify")
+    monkeypatch.setattr(agf.geometry, "strictify", agf.rearrange.strictify, raising=False)
+    run_experiment("all", list(_CORPUS.items()))
+    # one axis decrement call per (member, p, axis, mu) takes all three shifts;
+    # the gauges read the strict order of the iterated rearrangement itself
+    assert calls == {"axis_decrement_integral": 96, "is_mdec": 188}
+
+
+@pytest.mark.parametrize("fid", [fid for fid, f in _CORPUS.items() if f.halfspace])
+def test_axis_decrement_integral_takes_every_h_with_the_bits_of_the_loop(fid):
+    f = _CORPUS[fid]
+    cmin = min(f.cell_sizes)
+    # the appendix grid, and shifts on, between and beyond the edges
+    hs = [cmin, 2.0 * cmin, 4.0 * cmin, 0.7 * cmin, max(f.extent), 3.0 * max(f.extent)]
+    # appendix's mu are powers of 2, which divide the edges exactly; 3 does not
+    for k in range(f.dims):
+        for mu in (2.0, 3.0, 4.0):
+            for p in (1.0, 2.0):
+                got = axis_decrement_integral(f, k, mu, np.array(hs), p)
+                assert got.shape == (len(hs),)
+                want = [_axis_decrement_loop(f, k, mu, h, p) for h in hs]
+                assert got.tolist() == want
+                assert [axis_decrement_integral(f, k, mu, h, p) for h in hs] == want
+                grid = np.array(hs).reshape(2, 3)
+                assert axis_decrement_integral(f, k, mu, grid, p).tolist() == [want[:3],
+                                                                                want[3:]]
+
+
+def test_axis_decrement_cut_piece_one_ulp_below_an_edge():
+    f = _CORPUS["anisotropic-staircase-20240907-0"]
+    assert f.cell_sizes[0] == 0.4 and 3 * 0.4 / 4 == 0.30000000000000004
+    for p in (1.0, 2.0):
+        assert axis_decrement_integral(f, 0, 4.0, 0.3, p) == _axis_decrement_loop(
+            f, 0, 4.0, 0.3, p)
+
+
 def _aniso_per_pair_oracle(f, p, order, h_values, gauge):
     """verify_anisotropic_estimate with its lattice terms evaluated per (axis, h)."""
     phi = dyadic_decrement(decreasing_rearrangement(f))
@@ -414,6 +519,27 @@ def test_aniso_lattice_terms_hoisted_keep_the_bits(fid):
                 assert ri.degenerate and rs.degenerate
             else:
                 assert (ri.lhs, ri.rhs, rs.lhs, rs.rhs) == w
+
+
+@pytest.mark.parametrize("fid", [fid for fid, f in _CORPUS.items() if f.dims == 2])
+def test_aniso_lattice_terms_at_other_p_keep_the_bits(fid):
+    # u^p and t^(1/p) stay scalar powers away from p = 1 too
+    f = _CORPUS[fid]
+    hs = [max(f.extent) * 2.0**-k for k in range(1, 7)]
+    for p in (1.5, 2.0, 3.0):
+        for order in ((0, 1), (1, 0)):
+            reps = verify_anisotropic_estimate(Member(f, fid), p, order, hs)
+            want = _aniso_per_pair_oracle(f, p, order, hs, build_gauge(f, order))
+            got = [None if ri.degenerate else (ri.lhs, ri.rhs, rs.lhs, rs.rhs)
+                   for ri, rs in zip(reps[::2], reps[1::2])]
+            assert got == want
+
+
+def test_aniso_estimate_rejects_a_nan_p():
+    f = _CORPUS["hat-multilinear-20240908-0"]
+    for p in (math.nan, 0.5):
+        with pytest.raises(ParameterError):
+            verify_anisotropic_estimate(Member(f), p, (0, 1), [0.5])
 
 
 def test_aniso_estimate_job_builds_one_curve_per_axis(monkeypatch):
