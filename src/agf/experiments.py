@@ -1,13 +1,13 @@
 """Experiment definitions: corpus wiring, parameter grids, deterministic runs.
 
-``run_experiment`` runs one experiment, a sequence of them or all, and wraps
-each corpus member once in a ``verify.Member``, so every experiment of the
-call reads one set of curves, f*, dyadic decrements, decrement sums and
-gauges per member, each built on first use.  Each experiment is one runner
-of one member, and expands to an ordered list of independent jobs, one
-``partial(_run, member, runner, opts)`` per member the experiment runs on.
-Jobs may execute on a thread pool, but results are merged in submission
-order and rows are sorted before emission, so the output is byte-identical
+``run_experiment`` runs one experiment, a sequence of them or all, as one job
+per corpus member.  The job wraps its member in a ``verify.Member``, so every
+experiment of the call reads one set of curves, f*, dyadic decrements,
+decrement sums and gauges per member, each built on first use, and drops the
+record when the member is done.  Each experiment is one runner of one member:
+its job builder gives one ``partial(_run, member, runner, opts)`` per member
+it runs on.  Jobs may execute on a thread pool, but the parts are merged
+experiment by experiment, members in corpus order, so the result is the same
 for any thread count.
 """
 
@@ -175,51 +175,77 @@ _JOB_BUILDERS = {
 EXPERIMENTS = tuple(_JOB_BUILDERS)
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; anything but an integer >= 1 (a bool included) raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _options(opts: dict) -> dict:
     """``opts`` with the default m_max filled in; an unknown key or a bad m_max raises."""
     unknown = sorted(set(opts) - {"m_max"})
     if unknown:
         raise ParameterError(f"unknown options {unknown}; known: ['m_max']")
-    m_max = opts.get("m_max", 8)
-    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 1:
-        raise ParameterError(f"m_max must be an integer >= 1, got {m_max!r}")
-    return {"m_max": int(m_max)}
+    return {"m_max": _count("m_max", opts.get("m_max", 8))}
+
+
+def _member_parts(pair, names, opts: dict) -> list[ExperimentResult]:
+    """One member's job: its rows of each named experiment, one part per name.
+
+    The ``Member`` record is built here and dropped on return.  The builders
+    are looked up at call time, so a wrapped builder sees every job.
+    """
+    fid, f = pair
+    members = [Member(f, fid)]
+    parts = []
+    for name in names:
+        part = ExperimentResult()
+        for job in _JOB_BUILDERS[name](members, opts):
+            part.extend(job())
+        parts.append(part)
+    return parts
 
 
 def run_experiment(name: str | Sequence[str], corpus, budgets: BudgetFile | None = None,
                    threads: int = 1, opts: dict | None = None) -> ExperimentResult:
     """Run one experiment, a sequence of them in order, or 'all' over a corpus.
 
-    ``corpus`` lists (function_id, f) pairs; each is wrapped in one ``Member``
-    that all jobs of the call share.  The verifiers give calibrated
-    inequalities an infinite budget; with ``budgets`` given, each such report
-    gets its budget from that file once the jobs are merged.  ``opts`` takes
-    one key, ``m_max`` (an integer >= 1, default 8), the dyadic depth of the
-    limit traces.  An unknown key, a bad ``m_max`` or a function id that the
-    corpus repeats raises ``ParameterError``.
+    ``corpus`` lists (function_id, f) pairs.  Each pair is one job, which
+    wraps f in a ``Member``, runs every experiment of the call on it and
+    drops it when the member is done.  With ``threads`` above 1 the jobs run
+    on a pool of that many threads.  The parts are merged experiment by
+    experiment, members in corpus order, so the result does not depend on
+    ``threads``.  The verifiers give calibrated inequalities an infinite
+    budget; with ``budgets`` given, each such report gets its budget from
+    that file once the parts are merged.  ``opts`` takes one key, ``m_max``
+    (an integer >= 1, default 8), the dyadic depth of the limit traces.  An
+    unknown key, a ``threads`` or ``m_max`` that is not an integer >= 1, or a
+    function id that the corpus repeats raises ``ParameterError``.
     """
     opts = _options(opts or {})
+    threads = _count("threads", threads)
     names = EXPERIMENTS if name == "all" else (name,) if isinstance(name, str) else tuple(name)
     # a sequence holds experiment names only: 'all' is known as a name of its own
     known = EXPERIMENTS + ("all",) if isinstance(name, str) else EXPERIMENTS
     for n in names:
         if n not in _JOB_BUILDERS:
             raise ParameterError(f"unknown experiment {n!r}; known: {known}")
-    members = [Member(f, fid) for fid, f in corpus]
-    repeated = sorted(fid for fid, n in Counter(m.function_id for m in members).items() if n > 1)
+    corpus = list(corpus)
+    repeated = sorted(fid for fid, n in Counter(fid for fid, _ in corpus).items() if n > 1)
     if repeated:
         raise ParameterError(f"repeated function ids in the corpus: {repeated}")
-    jobs = []
-    for n in names:
-        jobs.extend(_JOB_BUILDERS[n](members, opts))
-    result = ExperimentResult()
-    if threads <= 1:
-        for job in jobs:
-            result.extend(job())
+    run = partial(_member_parts, names=names, opts=opts)
+    if threads == 1:
+        parts = list(map(run, corpus))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda j: j(), jobs):
-                result.extend(part)
+            parts = list(pool.map(run, corpus))
+    result = ExperimentResult()
+    # zip(*parts) holds one experiment's parts per item, members in corpus order
+    for by_member in zip(*parts):
+        for part in by_member:
+            result.extend(part)
     if budgets is not None:
         result.reports = [rep if V.INEQUALITIES[rep.inequality_id] is not None
                           else replace(rep, budget=budgets.budget_for(rep.inequality_id))

@@ -252,7 +252,7 @@ def modulus_curve(f: GridFunction, k: int, p: float) -> ModulusCurve:
 
 def partial_modulus(f: GridFunction, k: int, delta: float, p: float) -> float:
     """omega_k(f; delta)_p = sup over |h| <= delta of I_k(f; h)_p, exact."""
-    if delta < 0:
+    if not delta >= 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
     curve = modulus_curve(f, k, p)
     return float(curve(delta)) if delta > 0 else 0.0
@@ -273,6 +273,8 @@ def interval_curve_1d(f: GridFunction, p: float) -> ModulusCurve:
     """
     if f.dims != 1:
         raise PreconditionError("interval modulus is defined for 1-D functions")
+    if not p >= 1:
+        raise ParameterError(f"p must be >= 1, got {p}")
     rows, padded = _axis_rows(f.values, 0)
     n = rows.shape[1]
     c = f.cell_sizes[0]
@@ -316,7 +318,7 @@ def steklov_mean(f: GridFunction, h: float, j: int) -> GridFunction:
     so the contraction bound by the partial modulus is preserved exactly.
     Support grows by h on the low side of axis j.
     """
-    if h <= 0:
+    if not h > 0:
         raise ParameterError(f"window h must be > 0, got {h}")
     if not 0 <= j < f.dims:
         raise ParameterError(f"axis {j} out of range for dims={f.dims}")
@@ -336,7 +338,7 @@ def steklov_mean(f: GridFunction, h: float, j: int) -> GridFunction:
 
 def steklov_axis_derivative(f: GridFunction, h: float, j: int) -> GridFunction:
     """|d f_{h,j} / d x_j| = |f(x + h e_j) - f(x)| / h, exact for cell-aligned h."""
-    if h <= 0:
+    if not h > 0:
         raise ParameterError(f"window h must be > 0, got {h}")
     c = f.cell_sizes[j]
     m = round(h / c)
@@ -360,7 +362,7 @@ def steklov_axis_derivative(f: GridFunction, h: float, j: int) -> GridFunction:
 
 def steklov_derivative_norm(f: GridFunction, h: float, j: int, p: float) -> float:
     """L^p norm of the Steklov axis derivative for arbitrary h > 0 (exact)."""
-    if h <= 0:
+    if not h > 0:
         raise ParameterError(f"window h must be > 0, got {h}")
     return modulus_curve(f, j, p).shift_norm(h) / h
 
@@ -394,8 +396,9 @@ def steklov_distances(f: GridFunction, curve: ModulusCurve, hs) -> np.ndarray:
         raise PreconditionError("the Steklov distance compares on the full space; "
                                 "pass the zero extension (halfspace=False)")
     hs = np.asarray(hs, dtype=np.float64)
-    if np.any(hs <= 0):
-        raise ParameterError(f"window h must be > 0, got {hs[hs <= 0][0]}")
+    bad = ~(hs > 0)
+    if np.any(bad):
+        raise ParameterError(f"window h must be > 0, got {hs[bad][0]}")
     c = curve.cell_size
     out = np.empty(hs.shape)
     short = hs <= c

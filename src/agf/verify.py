@@ -152,13 +152,16 @@ def _check_shifts(values, name: str) -> None:
 class Member:
     """One corpus member with the quantities the verifiers derive from it.
 
-    Each item is built on first use and kept for the life of the record: the
-    modulus curves of f per axis at exponent p (``curves(p)``), its decreasing
-    rearrangement (``star``), the dyadic decrement f*(t) - f*(2t) of f*
-    (``decrement``), the decrement sums at p (``sums(p)``), the Gagliardo
-    offset sums at p (``gagliardo_sums(p)``), the gauge of a rearrangement
-    order (``gauge(order)``), the record of the iterated rearrangement of an
-    order (``iterated(order)``) and the Gauss panels of the box operator
+    A record serves one job: ``run_experiment`` builds one per corpus member
+    inside that member's job and drops it when the member is done, so no
+    record is shared between jobs or threads.  Each item is built on first
+    use and kept for the life of the record: the modulus curves of f per axis
+    at exponent p (``curves(p)``), its decreasing rearrangement (``star``),
+    the dyadic decrement f*(t) - f*(2t) of f* (``decrement``), the decrement
+    sums at p (``sums(p)``), the Gagliardo offset sums at p
+    (``gagliardo_sums(p)``), the gauge of a rearrangement order
+    (``gauge(order)``), the record of the iterated rearrangement of an order
+    (``iterated(order)``) and the Gauss panels of the box operator
     (``box_panels``).
     """
 
@@ -168,10 +171,10 @@ class Member:
         self._items: dict = {}
 
     def _item(self, key, build):
-        # the builds are pure, so threads racing on a first use store equal
-        # values; setdefault keeps the first, and every later read sees it
         got = self._items.get(key)
-        return got if got is not None else self._items.setdefault(key, build())
+        if got is None:
+            got = self._items[key] = build()
+        return got
 
     def curves(self, p: float) -> tuple[ModulusCurve, ...]:
         """``modulus_curve(f, k, p)`` for k = 0..n-1."""
@@ -290,7 +293,7 @@ def verify_isotropic_estimate(m: Member, p: float, delta: float) -> InequalityRe
     """
     if not math.isfinite(p) or p < 1:
         raise ParameterError(f"p must be finite and >= 1, got {p}")
-    if delta <= 0:
+    if not delta > 0:
         raise ParameterError(f"delta must be > 0, got {delta}")
     n = m.f.dims
     sums = m.sums(p)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from agf import (
+    Member,
     ParameterError,
     besov_seminorm,
     interval_curve_1d,
@@ -19,7 +22,10 @@ from agf import (
     steklov_axis_derivative,
     steklov_derivative_norm,
     steklov_distance,
+    steklov_distances,
     steklov_mean,
+    verify_isotropic_estimate,
+    verify_rearrangement_modulus,
 )
 from agf.experiments import EMBEDDING_POINTS
 from agf.moduli import _steklov_weights
@@ -193,3 +199,32 @@ def test_curve_deltas_increase_strictly(vals, c, p):
     for curve in curves:
         assert curve.deltas[0] == 0.0
         assert np.all(np.diff(curve.deltas) > 0)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan])
+def test_interval_modulus_rejects_p_below_one(p):
+    # as modulus_curve does; the 1-D verifier path reads the interval curve
+    f = make_grid_function([1.0, 3.0, 0.0, 2.0], 0.25)
+    with pytest.raises(ParameterError):
+        interval_curve_1d(f, p)
+    with pytest.raises(ParameterError):
+        interval_modulus_1d(f, 0.25, p)
+    with pytest.raises(ParameterError):
+        verify_rearrangement_modulus(Member(f), p, [0.25])
+
+
+_NAN_SHIFT_CALLS = {
+    "partial_modulus": lambda f, h: partial_modulus(f, 0, h, 1.0),
+    "steklov_distances": lambda f, h: steklov_distances(f, modulus_curve(f, 0, 1.0), [0.5, h]),
+    "steklov_mean": lambda f, h: steklov_mean(f, h, 0),
+    "steklov_axis_derivative": lambda f, h: steklov_axis_derivative(f, h, 0),
+    "steklov_derivative_norm": lambda f, h: steklov_derivative_norm(f, h, 0, 1.0),
+    "verify_isotropic_estimate": lambda f, h: verify_isotropic_estimate(Member(f), 1.0, h),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_SHIFT_CALLS))
+def test_a_nan_shift_raises(name):
+    f = make_grid_function([1.0, 3.0, 0.0, 2.0], 0.5)
+    with pytest.raises(ParameterError):
+        _NAN_SHIFT_CALLS[name](f, math.nan)

@@ -352,6 +352,46 @@ def test_limiting_sweep_weighted_bounded_control_divergent():
                for r in reports)
 
 
+def test_limiting_sweep_truncation_exits():
+    m1 = Member(make_grid_function(np.linspace(1.0, 0.1, 16), 1 / 16), "one-d")
+    # p = 2 with theta = (1,): derive_params refuses the first point
+    with pytest.raises(ParameterError):
+        derive_params(2.0, (0.5,), (1.0,), 1)
+    tw, tc, reports = limiting_sweep(m1, 2.0, (1.0,), 8)
+    assert tw.truncated and tc.truncated and not reports
+    assert tw.values.size == tc.values.size == 0 and tw.target == tc.target == 0.0
+    # p = 1.5 with theta = (2,): p < n/beta holds at m = 1 and fails at m = 2
+    assert derive_params(1.5, (0.5,), (2.0,), 1).admissible
+    assert not derive_params(1.5, (0.75,), (2.0,), 1).admissible
+    tw, tc, reports = limiting_sweep(m1, 1.5, (2.0,), 8)
+    assert tw.truncated and tc.truncated
+    assert tw.param_values.tolist() == tc.param_values.tolist() == [1.0]
+    assert tw.target == tw.values[0] and tc.target == tc.values[0]
+    assert [r.inequality_id for r in reports] == ["embedding-lorentz", "embedding-dyadic-step"]
+    # a zero member: lhs 0 at the first point gives one degenerate row and no point
+    zero = Member(make_grid_function(np.zeros((4, 4)), (0.25, 0.25)), "zero")
+    tw, tc, reports = limiting_sweep(zero, 1.0, (1.0, 1.0), 8)
+    assert tw.truncated and tc.truncated and tw.values.size == tc.values.size == 0
+    assert [(r.inequality_id, r.degenerate) for r in reports] == [("embedding-lorentz", True)]
+
+
+def test_degenerate_gauge_rows_on_a_one_cell_member():
+    m = Member(make_grid_function([[1.0, 0.0], [0.0, 0.0]], (1.0, 1.0)), "one-cell")
+    hs = [0.5, 1.0]
+    for order in ((0, 1), (1, 0)):
+        gauge = m.gauge(order)
+        assert gauge.degenerate or gauge.t_values.size == 0
+        rows = verify_gauge_product(m, order)
+        assert [(r.inequality_id, r.params, r.degenerate, r.truncation) for r in rows] == [
+            ("gauge-product", {"order": list(order)}, True, "degenerate gauge")]
+        rows = verify_anisotropic_estimate(m, 1.0, order, hs)
+        assert [(r.inequality_id, r.params["axis"], r.params["h"]) for r in rows] == [
+            (iid, j, h) for j in range(2) for h in hs
+            for iid in ("aniso-gauge-integral", "aniso-gauge-sup")]
+        assert all(r.degenerate and r.truncation == "degenerate gauge"
+                   and r.lhs == r.rhs == 0.0 for r in rows)
+
+
 _SHIFT_VERIFIERS = {
     "verify_modulus_lemmas": lambda m, s: verify_modulus_lemmas(m, 1.0, [0.25, s]),
     "verify_anisotropic_estimate":
