@@ -6,11 +6,12 @@ multiples of the cell size.  Everything here exploits that: moduli, their
 integrals, and their suprema are all closed-form, with no quadrature error.
 
 One shift-power profile per (f, k, p) carries all of it.  Its inner sums over
-pairs of cells j apart come from ``_diagonal_power_sums``, the blocked
-offset-sum pass that the Gagliardo seminorm of ``norms`` shares: O(N_k * size)
-array work, temporaries near ``_BLOCK`` elements and no Python step per
-shift.  The curve readers take an array of shifts, and ``steklov_distances``
-gives the Steklov distances of every window of one (f, k, p) in one call.
+pairs of cells j apart come from ``_diagonal_power_sums``, a blocked
+offset-sum pass: O(N_k * size) array work, temporaries near ``_BLOCK``
+elements and no Python step per shift.  The Gagliardo offset sums of
+``norms`` use it for the zero leading offset only.  The curve readers take
+an array of shifts, and ``steklov_distances`` gives the Steklov distances
+of every window of one (f, k, p) in one call.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ def _diagonal_power_sums(moved: np.ndarray, fixed: np.ndarray, j0: int, p: float
     elements.  Each offset's pairs are laid out contiguously behind one zero
     and summed by ``np.add.reduceat``, which reduces such a run exactly as
     ``np.sum`` reduces the pairs alone.  These are the inner sums of the
-    shift-power profile and the offset sums of the Gagliardo seminorm.
+    shift-power profile and of the interval curve, and the Gagliardo offset
+    sums of the zero leading offset, 1-D included.  A nonzero leading offset
+    pairs two different slabs, which ``norms._lead_power_sums`` sums.
     """
     rows, size = fixed.shape
     out = np.empty(size - j0)

@@ -5,10 +5,11 @@ Everything except the Gagliardo double sum is closed-form on step structures
 which is exact to machine precision at the scales used here; all panels of a
 curve are evaluated in one array pass).  The Gagliardo seminorm is a sum over
 cell offsets: the pair kernel depends only on the offset o, so the double sum
-is 2 sum_o K(o) S(o) with S(o) = sum_x |f(x+o) - f(x)|^p.  The S(o) of all
-offsets along the last axis are formed in one blocked array pass (by the
-helper that also builds the shift-power profiles of ``moduli``), one Python
-step per offset of the leading axes.  No alpha enters S(o), so
+is 2 sum_o K(o) S(o) with S(o) = sum_x |f(x+o) - f(x)|^p.  Per offset of
+the leading axes, the S(o) of all its last-axis offsets come from one array
+pass over the pairs of cells it joins: the zero leading offset (all of 1-D)
+shares the helper of the shift-power profiles of ``moduli``, and every other
+one sums the diagonals of its pair plane.  No alpha enters S(o), so
 ``gagliardo_sums(f, p)`` builds them once and ``gagliardo_seminorm`` reads
 them at any alpha, as ``besov_seminorm`` reads a modulus curve.  In 1-D the
 kernel is exact; in higher dimensions it is the midpoint rule with a refined
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, PreconditionError, ResourceError
 from .grid import GridFunction
-from .moduli import ModulusCurve, _diagonal_power_sums
+from .moduli import _BLOCK, ModulusCurve, _axis_rows, _diagonal_power_sums
 from .rearrange import is_mdec
 from .step import StepFunction
 
@@ -43,9 +45,9 @@ def _leggauss(n: int):
 
 def lorentz_norm(sf: StepFunction, p: float, r: float) -> float:
     """Lorentz norm ||f||_{p,r} of a nonincreasing step function, closed form."""
-    if p <= 0:
+    if not p > 0:
         raise ParameterError(f"p must be > 0, got {p}")
-    if r <= 0:
+    if not r > 0:
         raise ParameterError(f"r must be > 0, got {r}")
     if not sf.is_nonincreasing:
         raise PreconditionError("lorentz_norm expects a rearrangement (nonincreasing)")
@@ -66,7 +68,7 @@ def mixed_lorentz_norm(g: GridFunction, p: float, r: float) -> float:
     variable, anchored at the origin).  The weight pi(t)^{r/p - 1} factorizes,
     so the per-cell integral is an exact product of 1-D power integrals.
     """
-    if p <= 0 or r <= 0:
+    if not (p > 0 and r > 0):
         raise ParameterError(f"p and r must be > 0, got p={p}, r={r}")
     if not is_mdec(g):
         raise PreconditionError("mixed Lorentz norm requires a coordinate-wise nonincreasing input")
@@ -282,39 +284,87 @@ def gagliardo_seminorm(sums: GagliardoSums, alpha: float) -> float:
 def _offset_power_sums(values: np.ndarray, p: float):
     """S(o) = sum over x of |f(x+o) - f(x)|^p for every lexicographically positive o.
 
-    Returns ``(offsets, sums)``: an (m, n) integer array and the m sums.  The
-    offsets of the leading axes are visited one by one; along the last axis
-    all offsets are formed at once by ``moduli._diagonal_power_sums``, the
-    helper that also gives the inner sums of the shift-power profile.  In 1-D,
-    S(o) is bit-identical to ``np.sum(np.abs(f[o:] - f[:-o]) ** p)``.
+    Returns ``(offsets, sums)``: an (m, n) integer array and the m sums, in
+    lexicographic order of the leading offsets.  The zero leading offset
+    pairs each line of the last axis with itself: its offsets 1..N-1 come
+    from ``moduli._diagonal_power_sums``, the helper of the shift-power
+    profiles, so in 1-D S(o) is bit-identical to
+    ``np.sum(np.abs(f[o:] - f[:-o]) ** p)``.  Every other leading offset
+    pairs two slabs of lines, and ``_lead_power_sums`` gives its offsets
+    1-N..N-1 in one pass over their pairs.
     """
     shape = values.shape
     n, size = values.ndim, shape[-1]
-    # rows padded with zeros so the sliding windows of the last axis stay inside
-    padded = np.zeros(shape[:-1] + (2 * size,))
-    padded[..., :size] = values
-    offsets, sums = [], []
     zero = (0,) * (n - 1)
+    lines, padded = _axis_rows(values, n - 1)
+    parts = [(zero, np.arange(1, size), _diagonal_power_sums(padded, lines, 1, p))]
+    every = np.arange(1 - size, size)
     for lead in itertools.product(*(range(1 - s, s) for s in shape[:-1])):
-        if lead < zero:
-            continue  # -lead is visited instead
-        moved = padded[tuple(slice(max(o, 0), s + min(o, 0)) for o, s in zip(lead, shape))]
-        fixed = padded[tuple(slice(max(-o, 0), s - max(o, 0)) for o, s in zip(lead, shape))]
-        moved = moved.reshape(-1, 2 * size)
-        fixed = fixed.reshape(-1, 2 * size)
-        if any(lead):
-            # last-axis offset -j pairs fixed[y + j] with moved[y]
-            neg = _diagonal_power_sums(fixed, moved[:, :size], 1, p)[::-1]
-            pos = _diagonal_power_sums(moved, fixed[:, :size], 0, p)
-            s_lead = np.concatenate([neg, pos])
-            last = np.arange(1 - size, size)
-        else:
-            s_lead = _diagonal_power_sums(moved, fixed[:, :size], 1, p)
-            last = np.arange(1, size)
-        lead_cols = np.broadcast_to(np.asarray(lead, dtype=np.int64), (last.size, n - 1))
-        offsets.append(np.concatenate([lead_cols, last[:, None]], axis=1))
-        sums.append(s_lead)
-    return np.concatenate(offsets), np.concatenate(sums)
+        if lead <= zero:
+            continue  # the zero lead is done; -lead is visited instead
+        moved = values[tuple(slice(max(o, 0), s + min(o, 0)) for o, s in zip(lead, shape))]
+        fixed = values[tuple(slice(max(-o, 0), s - max(o, 0)) for o, s in zip(lead, shape))]
+        parts.append((lead, every, _lead_power_sums(moved.reshape(-1, size),
+                                                    fixed.reshape(-1, size), p)))
+    offsets = [np.concatenate([np.broadcast_to(np.asarray(lead, dtype=np.int64),
+                                               (last.size, n - 1)), last[:, None]], axis=1)
+               for lead, last, _ in parts]
+    return np.concatenate(offsets), np.concatenate([sums for _, _, sums in parts])
+
+
+_RUN = 256  # cells in one tile row of ``_lead_power_sums``, the slab rows innermost
+
+
+def _lead_power_sums(moved: np.ndarray, fixed: np.ndarray, p: float) -> np.ndarray:
+    """sum over rows r and y of |moved[r, y + b] - fixed[r, y]|^p for b = 1-L..L-1.
+
+    ``moved`` and ``fixed`` are the (rows, L) slabs that one nonzero leading
+    offset pairs.  The pairs (y + b, y) fill an L x L pair plane, and the sum
+    at b is its diagonal b, so each pair is formed once.  The plane is cut
+    into bands of ``cols`` columns y.  A band has one tile row per offset b
+    that meets it; the row lays its pairs out column by column, the slab
+    rows innermost, as one contiguous run of ``cols * rows`` cells (about
+    ``_RUN``), which ``np.add.reduceat`` sums.  Only the first and last
+    ``cols - 1`` rows of a band reach past the grid: their pairs with y + b
+    outside it are formed against zero padding and left out of the run, a
+    share (cols - 1) / L of the work.  A tile holds about ``_BLOCK``
+    elements, at least one tile row.
+    """
+    rows, size = fixed.shape
+    cols = max(1, min(size, -(-_RUN // rows)))
+    span = size + cols - 1  # offsets b that meet a band of cols columns
+    pitch = cols * rows  # elements of one tile row
+    per_tile = max(1, min(span, _BLOCK // pitch))
+    # moved with its columns as rows, cols - 1 zero rows before and after
+    mt = np.zeros((span + cols - 1, rows))
+    mt[cols - 1:cols - 1 + size] = moved.T
+    ft = np.ascontiguousarray(fixed.T)
+    # band c pairs fixed column y = c + t at offset b = i - (c + cols - 1)
+    # with moved column y' = i + t - (cols - 1), which is mt[i + t] for every c
+    win = as_strided(mt, (span, cols, rows), (mt.strides[0],) + mt.strides, writeable=False)
+    i = np.arange(span)
+    # tile row i sums t from the first to the last with y' inside the grid
+    runs = np.stack([np.maximum(cols - 1 - i, 0), np.minimum(span - i, cols)], axis=1) * rows
+    starts = np.arange(per_tile)[:, None] * pitch
+    buf = np.empty(per_tile * pitch + 1)  # a spare element ends the last run
+    tiles = buf[:-1].reshape(per_tile, cols, rows)
+    out = np.zeros(2 * size - 1)
+    for c in range(0, size, cols):
+        t = min(cols, size - c)
+        # a short last band meets fewer offsets: b >= -(c + t - 1)
+        for i0 in range(cols - t, span, per_tile):
+            i1 = min(i0 + per_tile, span)
+            k = i1 - i0
+            tile = tiles[:k, :t]
+            np.subtract(win[i0:i1, :t], ft[c:c + t], out=tile)
+            np.abs(tile, out=tile)
+            if p != 1.0:
+                np.power(tile, p, out=tile)
+            bounds = np.minimum(runs[i0:i1], t * rows)
+            bounds += starts[:k]
+            at = i0 - c - cols + size  # out[b + L - 1] for b of tile row i0
+            out[at:at + k] += np.add.reduceat(buf[:k * pitch + 1], bounds.ravel())[::2]
+    return out
 
 
 def _gagliardo_1d_exact(f: GridFunction, alpha: float, p: float, s: np.ndarray) -> float:

@@ -128,8 +128,8 @@ def _report(inequality_id, function_id, n, params, lhs, rhs, truncation="",
     A hard id gets its stated constant, a calibrated id gets inf.  A NaN side
     keeps the verdict ``fail`` and is named in the truncation.
     """
-    nan = " and ".join(side for side, v in (("lhs", lhs), ("rhs", rhs)) if math.isnan(v))
-    if nan:
+    if lhs != lhs or rhs != rhs:  # only NaN differs from itself
+        nan = " and ".join(side for side, v in (("lhs", lhs), ("rhs", rhs)) if math.isnan(v))
         truncation = "; ".join(filter(None, (truncation, f"NaN {nan}")))
     rule = INEQUALITIES[inequality_id]
     budget = math.inf if rule is None else rule(n, params)
@@ -140,6 +140,12 @@ def _report(inequality_id, function_id, n, params, lhs, rhs, truncation="",
 def _degenerate(inequality_id, function_id, n, params, note="zero input"):
     return _report(inequality_id, function_id, n, dict(params), 0.0, 0.0, note,
                    degenerate=True)
+
+
+def _check_p(p: float) -> None:
+    """Reject a p that is not >= 1, NaN included, as ``modulus_curve`` does."""
+    if not p >= 1:
+        raise ParameterError(f"p must be >= 1, got {p}")
 
 
 def _check_shifts(values, name: str) -> None:
@@ -627,6 +633,7 @@ def verify_rearrangement_modulus(m: Member, p: float, deltas) -> list[Inequality
     most 3^n times the corresponding partial modulus of f (hard constant 3^n),
     for the identity order and its reverse.
     """
+    _check_p(p)
     _check_shifts(deltas, "delta")
     f, function_id = m.f, m.function_id
     n = f.dims
@@ -675,6 +682,7 @@ def verify_modulus_lemmas(m: Member, p: float, deltas) -> list[InequalityReport]
     These are full-space statements: an orthant-domain input is viewed as its
     zero extension, so its moduli count mass crossing the boundary.
     """
+    _check_p(p)
     _check_shifts(deltas, "delta")
     reports: list[InequalityReport] = []
     f, function_id = m.f, m.function_id

@@ -3,7 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import agf.norms
 from agf import (
     ParameterError,
     PreconditionError,
@@ -22,6 +26,7 @@ from agf import (
     mixed_lorentz_norm,
     modulus_curve,
 )
+from agf.moduli import _diagonal_power_sums
 from agf.norms import _offset_power_sums
 from agf.step import StepFunction
 
@@ -340,6 +345,109 @@ def test_gagliardo_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 8e6
 
+
+
+@pytest.mark.parametrize("p, r", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+def test_lorentz_norms_reject_a_nan_exponent(p, r):
+    f = make_grid_function([[3, 1], [2, 0.5]], (0.5, 0.5))
+    with pytest.raises(ParameterError):
+        lorentz_norm(decreasing_rearrangement(f), p, r)
+    with pytest.raises(ParameterError):
+        mixed_lorentz_norm(iterated_rearrangement(f, (0, 1)), p, r)
+
+
+def test_lorentz_norms_keep_r_infinite():
+    # theta = inf is an embedding point, so r = inf must pass the checks
+    f = make_grid_function([[3, 1], [2, 0.5]], (0.5, 0.5))
+    assert lorentz_norm(decreasing_rearrangement(f), 2.0, math.inf) == pytest.approx(
+        3.0 * 0.25**0.5, rel=1e-15)
+    assert math.isfinite(mixed_lorentz_norm(iterated_rearrangement(f, (0, 1)), 2.0, math.inf))
+
+
+# --- offset sums: one pairwise pass per nonzero leading offset -----------------
+
+def _pair_loop_sums(vals, ps):
+    """S(o) at each p of ``ps`` by the loop over ordered pairs of cells with o > 0."""
+    cells = list(zip(np.ndindex(vals.shape), vals.ravel().tolist()))
+    zero = (0,) * vals.ndim
+    want = [{} for _ in ps]
+    for x, a in cells:
+        for y, b in cells:
+            o = tuple(j - i for i, j in zip(x, y))
+            if o > zero:
+                d = abs(b - a)
+                for sums, p in zip(want, ps):
+                    sums[o] = sums.get(o, 0.0) + d**p
+    return want
+
+
+def _with_zero_regions(shape, support, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 2.0, size=shape)
+    if support == "sparse":
+        vals[rng.uniform(size=shape) < 0.4] = 0.0
+    else:
+        # only the centre cell: every offset longer than half the grid pairs zeros only
+        vals = np.zeros(shape)
+        vals[tuple(s // 2 for s in shape)] = 1.5
+    return vals
+
+
+def _assert_offset_sums_match(vals, want, p, exact=False):
+    offs, sums = _offset_power_sums(vals, p)
+    got = {tuple(int(c) for c in o): s for o, s in zip(offs, sums.tolist())}
+    assert len(got) == offs.shape[0]
+    assert set(got) == set(want)
+    for o, w in want.items():
+        if exact or w == 0.0:
+            assert got[o] == w, o
+        else:
+            assert got[o] == pytest.approx(w, rel=1e-12, abs=0.0), o
+
+
+@pytest.mark.parametrize("support", ["sparse", "centre"])
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (5, 7), (7, 5), (3, 4, 5), (2, 300)])
+def test_offset_power_sums_against_the_pair_loop(shape, support):
+    vals = _with_zero_regions(shape, support, sum(shape))
+    ps = (1.0, 1.5, 2.0)
+    for p, want in zip(ps, _pair_loop_sums(vals, ps)):
+        _assert_offset_sums_match(vals, want, p)
+
+
+@pytest.mark.parametrize("run, block", [(1, 1), (2, 5), (3, 16), (7, 40)])
+def test_offset_power_sums_in_small_tiles_against_the_pair_loop(monkeypatch, run, block):
+    # tiles of one row, short last bands and offsets split over several tiles
+    monkeypatch.setattr(agf.norms, "_RUN", run)
+    monkeypatch.setattr(agf.norms, "_BLOCK", block)
+    for shape in [(2, 9), (5, 7), (7, 5), (3, 4, 5)]:
+        vals = _with_zero_regions(shape, "sparse", 7 * run + block)
+        (want,) = _pair_loop_sums(vals, (1.5,))
+        _assert_offset_sums_match(vals, want, 1.5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), p=st.sampled_from([1.0, 1.5, 2.0]),
+       shape=st.sampled_from([(2, 1), (1, 3), (2, 3), (3, 2), (4, 4), (2, 6),
+                              (2, 2, 2), (3, 1, 2), (2, 3, 4)]))
+def test_offset_power_sums_on_integer_grids(data, p, shape):
+    vals = data.draw(arrays(np.float64, shape, elements=st.integers(0, 4).map(float)))
+    (want,) = _pair_loop_sums(vals, (p,))
+    # at p = 1 and 2 every sum of small integers is exact, in any order
+    _assert_offset_sums_match(vals, want, p, exact=p in (1.0, 2.0))
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (6, 2), (3, 4, 5), (2, 3, 40)])
+def test_zero_lead_offset_sums_keep_the_bits_of_the_diagonal_sums(shape):
+    # only the nonzero leading offsets take the pairwise pass
+    vals = np.random.default_rng(len(shape)).uniform(size=shape)
+    size = shape[-1]
+    lines = vals.reshape(-1, size)
+    padded = np.concatenate([lines, np.zeros(lines.shape)], axis=1)
+    for p in (1.0, 1.5, 2.0):
+        offs, sums = _offset_power_sums(vals, p)
+        zero_lead = ~np.any(offs[:, :-1], axis=1)
+        assert offs[zero_lead, -1].tolist() == list(range(1, size))
+        assert sums[zero_lead].tolist() == _diagonal_power_sums(padded, lines, 1, p).tolist()
 
 # --- Besov panels in one pass against the per-segment loop ---------------------
 

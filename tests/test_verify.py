@@ -280,6 +280,20 @@ def test_report_names_a_nan_side_in_the_truncation():
         assert rep.verdict == ("pass" if rhs == 2.0 else "fail")
 
 
+
+@pytest.mark.parametrize("p", [0.5, math.nan])
+@pytest.mark.parametrize("shape, cells", [((4,), 0.25), ((2, 2), (0.25, 0.25))])
+def test_zero_members_reject_a_bad_p_like_nonzero_members(shape, cells, p):
+    for values in (np.zeros(shape), np.ones(shape)):
+        m = Member(make_grid_function(values, cells))
+        with pytest.raises(ParameterError, match="p must be >= 1"):
+            verify_rearrangement_modulus(m, p, [0.25])
+        with pytest.raises(ParameterError, match="p must be >= 1"):
+            verify_modulus_lemmas(m, p, [0.25])
+    zero = Member(make_grid_function(np.zeros(shape), cells))
+    reps = verify_rearrangement_modulus(zero, 1.0, [0.25]) + verify_modulus_lemmas(zero, 1.0, [0.25])
+    assert reps and all(r.degenerate for r in reps)
+
 def test_box_operator_weighted_integral_indicator_oracle():
     ind = make_grid_function([1.0], 1.0)
     # T(chi_(0,1])(x) = 1 for x <= 1, 2/x - 1 for 1 <= x <= 2, 0 beyond
