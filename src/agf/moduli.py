@@ -28,8 +28,8 @@ from .rearrange import is_mdec
 _BLOCK = 1 << 15  # float64 elements in one array temporary of the offset sums
 
 
-def _diagonal_power_sums(moved: np.ndarray, fixed: np.ndarray, j0: int, p: float) -> np.ndarray:
-    """sum over rows r and y of |moved[r, y + j] - fixed[r, y]|^p for j = j0..L-1.
+def _diagonal_power_sums(moved: np.ndarray, fixed: np.ndarray, p: float) -> np.ndarray:
+    """sum over rows r and y of |moved[r, y + j] - fixed[r, y]|^p for j = 1..L-1.
 
     ``fixed`` is (rows, L); ``moved`` holds the same rows zero-padded to 2L.
     Blocks of offsets j and of rows keep every temporary near ``_BLOCK``
@@ -41,8 +41,8 @@ def _diagonal_power_sums(moved: np.ndarray, fixed: np.ndarray, j0: int, p: float
     pairs two different slabs, which ``norms._lead_power_sums`` sums.
     """
     rows, size = fixed.shape
-    out = np.empty(size - j0)
-    j = j0
+    out = np.empty(size - 1)
+    j = 1
     while j < size:
         span = size - j  # pairs of offset j; the later offsets of a block have fewer
         width = span + 2  # a zero, the pairs, one spare zero column
@@ -62,7 +62,7 @@ def _diagonal_power_sums(moved: np.ndarray, fixed: np.ndarray, j0: int, p: float
         # the run of offset j + i: its zero, then its span - i pairs
         starts = np.arange(k) * width
         bounds = np.stack([starts, starts + 1 + span - np.arange(k)], axis=1)
-        out[j - j0:j - j0 + k] = np.add.reduceat(acc.ravel(), bounds.ravel())[::2]
+        out[j - 1:j - 1 + k] = np.add.reduceat(acc.ravel(), bounds.ravel())[::2]
         j += k
     return out
 
@@ -92,7 +92,7 @@ def _shift_power_profile(f: GridFunction, k: int, p: float) -> np.ndarray:
     n = rows.shape[1]
     slices = np.sum(np.abs(rows) ** p, axis=0)
     out = np.zeros(n + 1)
-    out[1:n] = _diagonal_power_sums(padded, rows, 1, p)
+    out[1:n] = _diagonal_power_sums(padded, rows, p)
     out[1:] += np.cumsum(slices[::-1])
     if not f.halfspace:
         out[1:] += np.cumsum(slices)
@@ -282,7 +282,7 @@ def interval_curve_1d(f: GridFunction, p: float) -> ModulusCurve:
     n = rows.shape[1]
     c = f.cell_sizes[0]
     prof = np.zeros(n + 1)
-    prof[1:n] = _diagonal_power_sums(padded, rows, 1, p) * c
+    prof[1:n] = _diagonal_power_sums(padded, rows, p) * c
     d, w = _running_max_curve(prof, c)
     return ModulusCurve(0, p, d, w, prof, c)
 

@@ -297,7 +297,7 @@ def _offset_power_sums(values: np.ndarray, p: float):
     n, size = values.ndim, shape[-1]
     zero = (0,) * (n - 1)
     lines, padded = _axis_rows(values, n - 1)
-    parts = [(zero, np.arange(1, size), _diagonal_power_sums(padded, lines, 1, p))]
+    parts = [(zero, np.arange(1, size), _diagonal_power_sums(padded, lines, p))]
     every = np.arange(1 - size, size)
     for lead in itertools.product(*(range(1 - s, s) for s in shape[:-1])):
         if lead <= zero:

@@ -25,7 +25,7 @@ from .errors import ParameterError, PreconditionError, ResourceError
 from .geometry import (AnisotropicGauge, box_average_field, box_weights, build_gauge,
                        contract_axes)
 from .grid import GridFunction, make_grid_function
-from .moduli import ModulusCurve, interval_curve_1d, modulus_curve, steklov_distances
+from .moduli import _BLOCK, ModulusCurve, interval_curve_1d, modulus_curve, steklov_distances
 from .norms import (
     BesovParams,
     GagliardoSums,
@@ -232,8 +232,9 @@ class DecrementSums(NamedTuple):
     beyond the support.  With e = p/n, ``steps[k]`` is the step's share
     inner[k] (left[k]^(-e) - right[k]^(-e)) / e of the left side whenever the
     cut delta^n lies at or below left[k] (0 for step 0, whose inner is 0).
-    Building them costs O(K^2) element work for K steps, in row blocks of at
-    most ``_SUMS_BLOCK`` elements (one row of K + 2 when K is larger).
+    For K steps and an integer p, building them costs O(pK) array work by the
+    drop recurrence; any other p costs O(K^2) element work, in row blocks of
+    at most ``_SUMS_BLOCK`` elements (one row of K + 2 when K is larger).
     """
 
     left: np.ndarray
@@ -243,23 +244,63 @@ class DecrementSums(NamedTuple):
     steps: np.ndarray
 
 
-_SUMS_BLOCK = 1 << 15  # float64 elements in one row block of the inner sums
+_SUMS_BLOCK = 1 << 15  # float64 elements in one row block of the inner sums at non-integer p
 
 
 def decrement_sums(sf: StepFunction, p: float, n: int) -> DecrementSums:
     """The ``DecrementSums`` at exponent p of f* = ``sf`` of an n-dimensional f.
 
-    ``inner[k]`` is bit-identical to
-    ``np.sum((values[:k] - values[k]) ** p * widths[:k])``: each row's terms
-    lie behind one zero, and ``np.add.reduceat`` reduces such a run exactly
-    as ``np.sum`` reduces the terms alone.  ``verify_isotropic_estimate``
-    reads the sums from ``Member.sums(p)``.
+    ``sf`` must be nonincreasing.  At an integer p, ``inner`` follows the
+    drop recurrence (``_drop_recurrence``), within a few ulps of
+    ``np.sum((values[:k] - values[k]) ** p * widths[:k])`` and exactly 0
+    where that sum is 0.  At any other p, ``inner[k]`` is bit-identical to
+    that sum: each row's terms lie behind one zero, and
+    ``np.add.reduceat`` reduces such a run exactly as ``np.sum`` reduces the
+    terms alone.  ``verify_isotropic_estimate`` reads the sums from
+    ``Member.sums(p)``.
     """
     bp = sf.breakpoints
     vals = sf.values
     size = vals.size
     left = np.concatenate([[0.0], bp[:-1]])
     widths = bp - left
+    if float(p).is_integer():
+        inner = _drop_recurrence(vals, left, int(p))
+    else:
+        inner = _blocked_inner_sums(vals, widths, p)
+    e = p / n
+    # scalar powers: an array power may differ from them in the last bit
+    powers = np.array([b ** -e for b in bp.tolist()])
+    steps = np.zeros(size)
+    live = np.flatnonzero(inner[1:] > 0.0) + 1
+    steps[live] = inner[live] * (powers[live - 1] - powers[live]) / e
+    return DecrementSums(left, bp, inner, float(np.sum(vals**p * widths)), steps)
+
+
+def _drop_recurrence(vals: np.ndarray, left: np.ndarray, p: int) -> np.ndarray:
+    """J_p[k] = sum over i < k of (vals[i] - vals[k])^p * w_i for an integer p >= 1.
+
+    With d_k = vals[k-1] - vals[k] >= 0 (d_0 = 0), J_0[k] = left[k] is the
+    breakpoint itself, and for j >= 1
+    J_j[k] = J_j[k-1] + d_k^j left[k] + sum over 0 < m < j of C(j, m) d_k^(j-m) J_m[k-1].
+    Each J_j is one ``np.cumsum`` of nonnegative terms: no cancellation, and
+    a step tied with every step before it keeps an exact 0.
+    """
+    d = np.zeros(vals.size)
+    d[1:] = vals[:-1] - vals[1:]
+    done: list[np.ndarray] = []  # J_1 .. J_(j-1), each shifted one step right
+    for j in range(1, p + 1):
+        terms = d**j * left
+        for m, prev in enumerate(done, start=1):
+            terms += math.comb(j, m) * d ** (j - m) * prev
+        inner = np.cumsum(terms)
+        done.append(np.concatenate([[0.0], inner[:-1]]))
+    return inner
+
+
+def _blocked_inner_sums(vals: np.ndarray, widths: np.ndarray, p: float) -> np.ndarray:
+    """``inner`` of ``decrement_sums`` in row blocks of at most ``_SUMS_BLOCK`` elements."""
+    size = vals.size
     # column c of a block row pairs step c - 1 with the row's step; column 0
     # pairs a zero value and a zero width, which leads every row's run
     vals_led = np.concatenate([[0.0], vals])
@@ -273,20 +314,13 @@ def decrement_sums(sf: StepFunction, p: float, n: int) -> DecrementSums:
         width = k0 + r + 1
         block = np.subtract(vals_led[:width], vals[k0:k0 + r, None])
         np.maximum(block, 0.0, out=block)  # f* is nonincreasing: clears column 0 and steps >= k
-        if p != 1.0:
-            block **= p
+        block **= p
         block *= widths_led[:width]
         starts = np.arange(r) * width
         runs = np.stack([starts, starts + 1 + np.arange(k0, k0 + r)], axis=1)
         inner[k0:k0 + r] = np.add.reduceat(block.ravel(), runs.ravel())[::2]
         k0 += r
-    e = p / n
-    # scalar powers: an array power may differ from them in the last bit
-    powers = np.array([b ** -e for b in bp.tolist()])
-    steps = np.zeros(size)
-    live = np.flatnonzero(inner[1:] > 0.0) + 1
-    steps[live] = inner[live] * (powers[live - 1] - powers[live]) / e
-    return DecrementSums(left, bp, inner, float(np.sum(vals**p * widths)), steps)
+    return inner
 
 
 def verify_isotropic_estimate(m: Member, p: float, delta: float) -> InequalityReport:
@@ -328,6 +362,29 @@ def verify_isotropic_estimate(m: Member, p: float, delta: float) -> InequalityRe
 
 # --- anisotropic gauge estimates --------------------------------------------------
 
+def _window_power_integrals(sf: StepFunction, a: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
+    """``sf.window_power_integral(a[i], b[i], r)`` for every i, with its bits.
+
+    One (windows x steps) array of piece lengths, in chunks of windows of
+    about ``_BLOCK`` elements; each window's row sum reduces its terms as
+    the single call's ``np.sum`` does.
+    """
+    bp = sf.breakpoints
+    out = np.zeros(a.size)
+    if bp.size == 0:
+        return out
+    left = np.concatenate([[0.0], bp[:-1]])
+    vr = sf.values**r
+    rows = max(1, _BLOCK // bp.size)
+    for i in range(0, a.size, rows):
+        lo = np.maximum(left, a[i:i + rows, None])
+        hi = np.minimum(bp, b[i:i + rows, None])
+        lengths = np.maximum(hi - lo, 0.0, out=hi)
+        lengths *= vr
+        out[i:i + rows] = lengths.sum(axis=1)
+    return out
+
+
 def verify_anisotropic_estimate(m: Member, p: float, order, h_values) -> list[InequalityReport]:
     """Gauge-weighted decrement bounds, one report pair per (axis, shift).
 
@@ -357,7 +414,7 @@ def verify_anisotropic_estimate(m: Member, p: float, order, h_values) -> list[In
                 for _, _, prm in cases for iid in ids]
     phi, curves = m.decrement, m.curves(p)
     t_prev = np.concatenate([[0.0], tv[:-1]])
-    window = np.array([phi.window_power_integral(a, b, p) for a, b in zip(t_prev, tv)])
+    window = _window_power_integrals(phi, t_prev, tv, p)
     peak = np.array([t ** (1.0 / p) for t in tv]) * phi(tv)
     reports: list[InequalityReport] = []
     for j, h, prm in cases:
@@ -628,7 +685,9 @@ def verify_rearrangement_modulus(m: Member, p: float, deltas) -> list[Inequality
     """Moduli of rearrangements against moduli of the original function.
 
     For 1-D functions on [0, 1] and delta <= 1/2: the interval modulus of the
-    decreasing rearrangement is at most twice that of f (hard constant 2).
+    decreasing rearrangement is at most twice that of f (hard constant 2).  A
+    1-D input whose grid is not inside [0, 1] gets degenerate rows whose
+    truncation names that precondition.
     In any dimension: each partial modulus of an iterated rearrangement is at
     most 3^n times the corresponding partial modulus of f (hard constant 3^n),
     for the identity order and its reverse.
@@ -640,11 +699,15 @@ def verify_rearrangement_modulus(m: Member, p: float, deltas) -> list[Inequality
     reports: list[InequalityReport] = []
     zero = f.support_cells == 0
     if n == 1:
-        vals = _unit_interval_values(f)
         for delta in deltas:
             if delta > 0.5:
                 raise ParameterError(f"the interval comparison needs delta <= 1/2, got {delta}")
         params = [{"p": p, "delta": float(delta)} for delta in deltas]
+        try:
+            vals = _unit_interval_values(f)
+        except PreconditionError as exc:
+            return [_degenerate("rearrangement-modulus-1d", function_id, n, prm,
+                                f"not computed: {exc}") for prm in params]
         if zero:
             return [_degenerate("rearrangement-modulus-1d", function_id, n, prm) for prm in params]
         # one interval curve each for g and g*, read at every delta

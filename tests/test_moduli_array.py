@@ -133,7 +133,7 @@ def test_one_dimensional_inner_sums_equal_the_per_shift_sums(fid):
     n = a.size
     padded = np.concatenate([a, np.zeros(n)])[None, :]
     for p in (1.0, 1.5, 2.0):
-        got = _diagonal_power_sums(padded, a[None, :], 1, p)
+        got = _diagonal_power_sums(padded, a[None, :], p)
         assert got.tolist() == [float(np.sum(np.abs(a[j:] - a[:-j]) ** p)) for j in range(1, n)]
 
 

@@ -447,7 +447,7 @@ def test_zero_lead_offset_sums_keep_the_bits_of_the_diagonal_sums(shape):
         offs, sums = _offset_power_sums(vals, p)
         zero_lead = ~np.any(offs[:, :-1], axis=1)
         assert offs[zero_lead, -1].tolist() == list(range(1, size))
-        assert sums[zero_lead].tolist() == _diagonal_power_sums(padded, lines, 1, p).tolist()
+        assert sums[zero_lead].tolist() == _diagonal_power_sums(padded, lines, p).tolist()
 
 # --- Besov panels in one pass against the per-segment loop ---------------------
 

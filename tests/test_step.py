@@ -74,7 +74,7 @@ def test_step_from_pieces_merges_and_trims():
 
 @given(st.lists(st.floats(0.01, 10), min_size=1, max_size=8),
        st.floats(0.1, 3), st.floats(1, 3))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_power_integral_positive_and_monotone_in_values(vals, a, r):
     bp = np.cumsum(np.full(len(vals), 0.5))
     sf = StepFunction(bp, np.array(vals))

@@ -1,8 +1,11 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agf.geometry
 import agf.moduli
@@ -193,6 +196,22 @@ def test_rearrangement_modulus_hard_constants():
     f2 = make_grid_function(rng.uniform(0, 1, size=(4, 4)), (0.5, 0.5))
     reps2 = verify_rearrangement_modulus(Member(f2), 2.0, [0.3, 0.8])
     assert all(r.budget == 9.0 and r.verdict == "pass" for r in reps2)
+
+
+def test_an_off_interval_member_gets_degenerate_interval_rows_in_run_all():
+    corpus = generate_corpus(CorpusSpec("random-general", (16,), (0.125,), 5))
+    assert all(f.extent[0] > 1.0 for _, f in corpus)
+    res = run_experiment("all", corpus)
+    rows = [r for r in res.reports if r.inequality_id == "rearrangement-modulus-1d"]
+    assert rows and all(r.verdict == "degenerate" for r in rows)
+    assert all(r.truncation.startswith("not computed: unit-interval comparison")
+               for r in rows)
+    # every member still gets its other reports, and none of them fails
+    assert {r.function_id for r in rows} == {fid for fid, _ in corpus}
+    assert {"modulus-mean-bound", "rearr-estimate"} <= {r.inequality_id for r in res.reports}
+    assert all(r.verdict != "fail" for r in res.reports)
+    with pytest.raises(ParameterError):
+        verify_rearrangement_modulus(Member(corpus[0][1]), 1.0, [0.6])
 
 
 def test_axis_decrement_integral_against_riemann():
@@ -718,14 +737,37 @@ def _isotropic_lhs_per_delta(f, p, delta):
     return lhs + inner_tail * tail_lo ** (-e) / e
 
 
+def _assert_close_keeping_zeros(got, want, rel):
+    """Each got within rel of its want, relative, and exactly 0 wherever want is 0."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w == 0:
+            assert g == 0.0
+        else:
+            assert abs(g - w) <= rel * abs(w), (g, w)
+
+
+# the integer-p sums follow the drop recurrence, within a few ulps of the per-step
+# sums; any other p keeps the bits of the blocked pass
+_RECURRENCE_REL = 1e-13
+
+
+def _assert_isotropic_lhs_matches_the_per_delta_oracle(m, f, p, deltas):
+    got = [verify_isotropic_estimate(m, p, d).lhs for d in deltas]
+    want = [_isotropic_lhs_per_delta(f, p, d) for d in deltas]
+    if float(p).is_integer():
+        _assert_close_keeping_zeros(got, want, _RECURRENCE_REL)
+    else:
+        assert got == want
+
+
 @pytest.mark.parametrize("fid", list(_CORPUS))
 def test_isotropic_estimate_with_shared_sums_keeps_the_bits(fid):
     f = _CORPUS[fid]
     m = Member(f, fid)
     deltas = [max(f.extent) * 2.0**-k for k in range(1, 6)]
-    for p in (1.0, 2.0):
-        for d in deltas:
-            assert verify_isotropic_estimate(m, p, d).lhs == _isotropic_lhs_per_delta(f, p, d)
+    for p in (1.0, 1.5, 2.0):
+        _assert_isotropic_lhs_matches_the_per_delta_oracle(m, f, p, deltas)
 
 
 # --- the isotropic estimate's sums against their per-step oracles -----------------
@@ -764,7 +806,11 @@ def test_decrement_sums_inner_equals_the_per_step_sums(fid):
     sf = decreasing_rearrangement(f)
     for p in (1.0, 1.5, 2.0):
         sums = agf.verify.decrement_sums(sf, p, f.dims)
-        assert sums.inner.tolist() == _inner_per_step(sf, p)
+        if p == 1.5:
+            assert sums.inner.tolist() == _inner_per_step(sf, p)
+        else:
+            _assert_close_keeping_zeros(sums.inner.tolist(), _inner_per_step(sf, p),
+                                        _RECURRENCE_REL)
         assert sums.tail == float(np.sum(sf.values**p * (sf.breakpoints - sums.left)))
 
 
@@ -783,7 +829,7 @@ def test_decrement_sums_keep_the_bits_in_any_block_size(block, monkeypatch):
     f = _SUMS_MEMBERS["random-general-34-0"]
     sf = decreasing_rearrangement(f)
     monkeypatch.setattr(agf.verify, "_SUMS_BLOCK", block)
-    for p in (1.0, 1.5):
+    for p in (1.5, 2.5):  # the blocks serve the non-integer p only
         assert agf.verify.decrement_sums(sf, p, f.dims).inner.tolist() == _inner_per_step(sf, p)
 
 
@@ -806,5 +852,93 @@ def test_isotropic_lhs_equals_the_per_delta_oracle_at_the_cuts(fid):
         bp = decreasing_rearrangement(f).breakpoints
         deltas += [float(bp[0]), float(bp[1 % bp.size]), float(bp[bp.size // 2]), float(bp[-1])]
     for p in (1.0, 1.5, 2.0):
-        for d in deltas:
-            assert verify_isotropic_estimate(m, p, d).lhs == _isotropic_lhs_per_delta(f, p, d)
+        _assert_isotropic_lhs_matches_the_per_delta_oracle(m, f, p, deltas)
+
+
+# --- the drop recurrence against exact arithmetic ----------------------------------
+
+def _exact_decrement_sums(sf, p, n):
+    """``inner`` and ``steps`` in ``Fraction``s, with the scalar powers b^(-p/n) as given."""
+    vals = [Fraction(v) for v in sf.values.tolist()]
+    bp = sf.breakpoints.tolist()
+    edges = [Fraction(0)] + [Fraction(b) for b in bp]
+    widths = [hi - lo for lo, hi in zip(edges, edges[1:])]
+    inner = [sum(((vals[i] - vals[k]) ** p * widths[i] for i in range(k)), Fraction(0))
+             for k in range(len(vals))]
+    e = p / n
+    powers = [Fraction(b ** -e) for b in bp]
+    steps = [inner[k] * (powers[k - 1] - powers[k]) / Fraction(e) if k else Fraction(0)
+             for k in range(len(vals))]
+    return inner, steps
+
+
+def _assert_sums_match_the_exact_sums(sf, n):
+    for p in (1, 2, 3):
+        sums = agf.verify.decrement_sums(sf, float(p), n)
+        inner, steps = _exact_decrement_sums(sf, p, n)
+        for got, want in ((sums.inner, inner), (sums.steps, steps)):
+            assert got.size == len(want)
+            for g, w in zip(got.tolist(), want):
+                if w == 0:
+                    assert g == 0.0
+                else:
+                    assert abs(Fraction(g) - w) <= Fraction(1, 10**14) * w, (p, g, float(w))
+
+
+_TIED_STAR = StepFunction(np.array([0.5, 1.0, 1.25, 2.0, 3.0, 3.5]),
+                          np.array([4.0, 4.0, 2.5, 2.5, 2.5, 0.5]))
+
+
+@pytest.mark.parametrize("fid", [fid for fid, f in _SUMS_MEMBERS.items()
+                                 if decreasing_rearrangement(f).values.size <= 600]
+                         + ["tied"])
+def test_decrement_sums_at_integer_p_against_exact_fractions(fid):
+    if fid == "tied":
+        sf, n = _TIED_STAR, 2
+    else:
+        sf, n = decreasing_rearrangement(_SUMS_MEMBERS[fid]), _SUMS_MEMBERS[fid].dims
+    _assert_sums_match_the_exact_sums(sf, n)
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 6)), min_size=1, max_size=24),
+       st.integers(1, 3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_decrement_sums_of_dyadic_steps_against_exact_fractions(steps, n):
+    # nonincreasing values in eighths (ties and zeros included), widths in quarters
+    values = sorted((v / 8 for v, _ in steps), reverse=True)
+    breakpoints = np.cumsum([w / 4 for _, w in steps])
+    _assert_sums_match_the_exact_sums(StepFunction(breakpoints, np.array(values)), n)
+
+
+# --- the anisotropic lattice windows in one array ------------------------------------
+
+_LATTICE_MEMBERS = {fid: f for fid, f in _CORPUS.items() if f.dims == 2}
+for _spec in _LARGE_SPECS:
+    _LATTICE_MEMBERS.update((fid, f) for fid, f in generate_corpus(_spec) if f.dims == 2)
+
+
+def _lattice_windows(f, order):
+    phi = dyadic_decrement(decreasing_rearrangement(f))
+    tv = build_gauge(f, order).t_values
+    return phi, np.concatenate([[0.0], tv[:-1]]), tv
+
+
+@pytest.mark.parametrize("fid", list(_LATTICE_MEMBERS))
+def test_aniso_lattice_windows_equal_the_per_point_calls(fid):
+    f = _LATTICE_MEMBERS[fid]
+    for order in ((0, 1), (1, 0)):
+        phi, t_prev, tv = _lattice_windows(f, order)
+        for p in (1.0, 1.5, 2.0):
+            got = agf.verify._window_power_integrals(phi, t_prev, tv, p)
+            assert got.tolist() == [phi.window_power_integral(a, b, p)
+                                    for a, b in zip(t_prev.tolist(), tv.tolist())]
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_aniso_lattice_windows_keep_the_bits_in_any_chunk(block, monkeypatch):
+    # block 1 gives one window per chunk
+    f = _SUMS_MEMBERS["random-mdec-33-0"]
+    phi, t_prev, tv = _lattice_windows(f, (0, 1))
+    want = agf.verify._window_power_integrals(phi, t_prev, tv, 1.0).tolist()
+    monkeypatch.setattr(agf.verify, "_BLOCK", block)
+    assert agf.verify._window_power_integrals(phi, t_prev, tv, 1.0).tolist() == want
