@@ -77,23 +77,28 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _params_json(params: dict) -> str:
-    return json.dumps(params, sort_keys=True, default=float)
+_PARAMS_JSON = json.JSONEncoder(sort_keys=True, default=float)
 
 
 def write_reports_csv(path, reports) -> None:
+    # one encoding per params dict; the cache holds each dict, so no id is reused
+    quoted: dict[int, tuple[dict, str]] = {}
     rows = []
     for r in reports:
-        rows.append((r.inequality_id, r.function_id, _params_json(r.params),
+        hit = quoted.get(id(r.params))
+        if hit is None:
+            hit = quoted[id(r.params)] = (r.params,
+                                          _PARAMS_JSON.encode(r.params).replace('"', '""'))
+        # doubling the quotes keeps the order of the JSON texts, so rows sort as before
+        rows.append((r.inequality_id, r.function_id, hit[1],
                      _fmt(r.lhs), _fmt(r.rhs), _fmt(r.ratio), _fmt(r.budget),
                      r.verdict, r.truncation))
     rows.sort()
     with open(path, "w") as fh:
         fh.write("inequality_id,function_id,params_json,lhs,rhs,ratio,budget,verdict,truncation\n")
-        for row in rows:
-            quoted = row[2].replace('"', '""')
-            fh.write(f'{row[0]},{row[1]},"{quoted}",{row[3]},{row[4]},{row[5]},'
-                     f"{row[6]},{row[7]},{row[8]}\n")
+        # row by row: a "".join or a writelines of all the rows measured a higher peak RSS
+        for iid, fid, params, lhs, rhs, ratio, budget, verdict, trunc in rows:
+            fh.write(f'{iid},{fid},"{params}",{lhs},{rhs},{ratio},{budget},{verdict},{trunc}\n')
 
 
 def write_traces_csv(path, traces) -> None:
@@ -157,9 +162,10 @@ def summarize(reports) -> str:
     """Per-inequality counts, worst finite ratio and budget of reports or ``_SummaryRow``s."""
     agg: dict[str, dict] = {}
     for r in reports:
-        a = agg.setdefault(r.inequality_id, {"n": 0, "pass": 0, "fail": 0,
-                                             "degenerate": 0, "worst": 0.0,
-                                             "budget": 0.0})
+        a = agg.get(r.inequality_id)
+        if a is None:
+            a = agg[r.inequality_id] = {"n": 0, "pass": 0, "fail": 0, "degenerate": 0,
+                                        "worst": 0.0, "budget": 0.0}
         a["n"] += 1
         a[r.verdict] += 1
         if math.isfinite(r.ratio):

@@ -17,6 +17,7 @@ of every window of one (f, k, p) in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -116,7 +117,8 @@ class ModulusCurve:
     ``deltas`` starts at 0 with omega(0) = 0; the curve is constant beyond the
     last node.  Linear interpolation of omega^p is exact for piecewise-constant
     representatives, including below the cell scale.  Every reader takes a
-    scalar or an array of shifts.
+    scalar or an array of shifts.  ``besov_panels`` is built on first use
+    and kept with the curve.
     """
 
     axis: int
@@ -131,6 +133,13 @@ class ModulusCurve:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def besov_panels(self):
+        """The alpha,theta-free ``norms.besov_panels`` of this curve, built on first use."""
+        from .norms import besov_panels  # norms imports this module
+
+        return besov_panels(self)
 
     def power_at(self, delta):
         delta = np.asarray(delta, dtype=np.float64)

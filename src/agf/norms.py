@@ -2,8 +2,10 @@
 
 Everything except the Gagliardo double sum is closed-form on step structures
 (the interior Besov pieces use fixed-order Gauss-Legendre on smooth integrands,
-which is exact to machine precision at the scales used here; all panels of a
-curve are evaluated in one array pass).  The Gagliardo seminorm is a sum over
+which is exact to machine precision at the scales used here).  No alpha or
+theta enters the panels of a curve, so ``curve.besov_panels`` builds them
+once per curve, and each ``besov_seminorm`` call reads them in one array
+pass.  The Gagliardo seminorm is a sum over
 cell offsets: the pair kernel depends only on the offset o, so the double sum
 is 2 sum_o K(o) S(o) with S(o) = sum_x |f(x+o) - f(x)|^p.  Per offset of
 the leading axes, the S(o) of all its last-axis offsets come from one array
@@ -33,7 +35,7 @@ from .moduli import _BLOCK, ModulusCurve, _axis_rows, _diagonal_power_sums
 from .rearrange import is_mdec
 from .step import StepFunction
 
-_GAUSS_NODES = 48
+_GAUSS_NODES = 16
 
 
 @lru_cache(maxsize=None)
@@ -149,47 +151,80 @@ def lipschitz_seminorm(curve: ModulusCurve, alpha: float) -> LipschitzValue:
     return LipschitzValue(val, at, flag)
 
 
+def besov_panels(curve: ModulusCurve):
+    """The alpha,theta-free part of ``besov_seminorm`` on one modulus curve.
+
+    Segment s of the curve carries omega^p = a + b t on [d0, d1].  Returns
+    ``(segments, sub, flat, smooth)``: the number of segments; ``sub``, the
+    (b, d1) of the sub-cell piece b t on (0, d1], or None when there is
+    none; ``flat``, the mask of the flat pieces (b = 0, a > 0) and their a,
+    d0 and d1; ``smooth``, the mask of the other segments with b != 0 and
+    their half-widths, their ``_GAUSS_NODES`` Gauss-Legendre nodes t and
+    the values a + b t there.  The arrays are read-only.
+    ``curve.besov_panels`` builds this once per curve, on the first
+    finite-theta call.  A plain tuple: a class defined here (a dataclass or
+    a named tuple) measured a higher peak RSS in runs that import the
+    package afresh many times.
+    """
+    d, w = curve.deltas, curve.omega_p
+    d0, d1 = d[:-1], d[1:]
+    b = (w[1:] - w[:-1]) / (d1 - d0)
+    a = w[:-1] - b * d0
+    sub = (a == 0.0) & (d0 == 0.0)
+    flat = ~sub & (b == 0.0) & (a > 0.0)
+    smooth = ~sub & (b != 0.0)
+    mid = 0.5 * (d0[smooth] + d1[smooth])
+    half = 0.5 * (d1[smooth] - d0[smooth])
+    t = mid[:, None] + half[:, None] * _leggauss(_GAUSS_NODES)[0]
+    lin = a[smooth, None] + b[smooth, None] * t
+    flat_pieces = (flat, a[flat], d0[flat], d1[flat])
+    smooth_pieces = (smooth, half, t, lin)
+    for arr in flat_pieces + smooth_pieces:
+        arr.flags.writeable = False
+    # the sub-cell piece is on the first segment, the only one at 0
+    sub_piece = (float(b[0]), float(d1[0])) if np.any(sub & (b != 0.0)) else None
+    return b.size, sub_piece, flat_pieces, smooth_pieces
+
+
 def besov_seminorm(curve: ModulusCurve, alpha: float, theta: float) -> float:
     """Axis Besov seminorm (integral of (t^-alpha omega_k(f;t))^theta dt/t)^(1/theta).
 
     ``curve`` is ``modulus_curve(f, k, p)``, which carries k and p.  Closed
     form on the sub-cell and constant pieces, Gauss-Legendre on the interior
-    smooth pieces, closed-form constant tail.  theta = inf gives the
+    smooth pieces, closed-form constant tail.  The alpha,theta-free panels
+    (``besov_panels``) are built once per curve, so a call is one power of
+    a + b t and one of t at the nodes, a weighted row sum and the closed
+    forms.  A smooth piece lies inside one cell [jc, (j + 1)c] with j >= 1,
+    so d1 <= 2 d0: t^(-alpha theta - 1) is analytic inside the Bernstein
+    ellipse of parameter 3 + 2 sqrt(2), and the 16-node rule errs by about
+    (3 + 2 sqrt(2))^(-32) < 1e-24 relative there.  a + b t is the profile's
+    piece on the whole cell, so its root, where (a + b t)^(theta/p) branches,
+    lies outside the piece.  theta = inf gives the
     Lipschitz-type sup.  Returns inf when the sub-cell piece diverges
     (alpha >= 1/p for a genuinely discontinuous representative).
     """
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    if theta < 1.0:
+    if not theta >= 1.0:
         raise ParameterError(f"theta must be >= 1, got {theta}")
     if math.isinf(theta):
         return _curve_weighted_sup(curve, alpha)[0]
     tp = theta / curve.p
     at = alpha * theta
-    # segment s carries omega^p = a + b t on [d0, d1]
-    d, w = curve.deltas, curve.omega_p
-    d0, d1 = d[:-1], d[1:]
-    b = (w[1:] - w[:-1]) / (d1 - d0)
-    a = w[:-1] - b * d0
-    piece = np.zeros(b.size)
-    sub = (a == 0.0) & (d0 == 0.0)
-    if np.any(sub & (b != 0.0)):
-        # sub-cell piece b t on (0, d1], on the first segment, the only one at 0
+    segments, sub, flat, smooth = curve.besov_panels
+    piece = np.zeros(segments)
+    if sub is not None:
         e = tp - at
         if e <= 0:
             return math.inf
-        piece[0] = (float(b[0]) ** tp) * (float(d1[0]) ** e) / e
-    flat = ~sub & (b == 0.0) & (a > 0.0)
-    piece[flat] = a[flat] ** tp * (d0[flat] ** (-at) - d1[flat] ** (-at)) / at
-    smooth = ~sub & (b != 0.0)
-    x, wts = _leggauss(_GAUSS_NODES)
-    mid = 0.5 * (d0[smooth] + d1[smooth])
-    half = 0.5 * (d1[smooth] - d0[smooth])
-    t = mid[:, None] + half[:, None] * x
-    fun = (a[smooth, None] + b[smooth, None] * t) ** tp
+        piece[0] = (sub[0] ** tp) * (sub[1] ** e) / e
+    mask, a, d0, d1 = flat
+    piece[mask] = a**tp * (d0 ** (-at) - d1 ** (-at)) / at
+    mask, half, t, lin = smooth
+    fun = lin**tp
     fun *= t ** (-at - 1.0)
-    fun *= wts
-    piece[smooth] = half * np.sum(fun, axis=1)
+    fun *= _leggauss(_GAUSS_NODES)[1]
+    piece[mask] = half * np.sum(fun, axis=1)
     # added segment by segment, in curve order
     acc = float(np.cumsum(piece)[-1]) if piece.size else 0.0
     wmax = float(curve.omega_p[-1])
@@ -431,7 +466,7 @@ def derive_params(p: float, beta_js, theta_js, n: int) -> BesovParams:
         raise ParameterError("need one beta_j and one theta_j per axis")
     if any(not 0 < b < 1 for b in beta_js):
         raise ParameterError(f"beta_j must lie in (0, 1), got {beta_js}")
-    if any(t < p for t in theta_js):
+    if any(not t >= p for t in theta_js):
         raise ParameterError(f"theta_j must be >= p, got {theta_js} with p={p}")
     beta = n / sum(1.0 / b for b in beta_js)
     inv = sum(0.0 if math.isinf(t) else 1.0 / (b * t) for b, t in zip(beta_js, theta_js))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -10,6 +11,7 @@ from agf import (AgfError, CorpusSpec, Member, ValidationError, calibrate_from_r
                  verify_gagliardo_limit)
 from agf.cli import _BUDGET_EXPERIMENTS, main, parse_config
 from agf.experiments import EXPERIMENTS, ExperimentResult
+from agf.verify import InequalityReport
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _COMMITTED_BUDGETS = os.path.join(_ROOT, "calibration", "budgets.json")
@@ -326,3 +328,39 @@ def test_readme_experiments_line_names_every_experiment():
         text = fh.read()
     paragraph = text[text.index("Experiments:"):].split("\n\n", 1)[0]
     assert re.findall(r"`([a-z-]+)`", paragraph) == list(EXPERIMENTS) + ["all"]
+
+
+def _reports_csv_per_row(path, reports):
+    """The reports.csv writer that encodes and writes every row on its own."""
+    rows = sorted((r.inequality_id, r.function_id,
+                   json.dumps(r.params, sort_keys=True, default=float),
+                   *(repr(float(x)) for x in (r.lhs, r.rhs, r.ratio, r.budget)),
+                   r.verdict, r.truncation) for r in reports)
+    with open(path, "w") as fh:
+        fh.write("inequality_id,function_id,params_json,lhs,rhs,ratio,budget,verdict,truncation\n")
+        for row in rows:
+            quoted = row[2].replace('"', '""')
+            fh.write(f'{row[0]},{row[1]},"{quoted}",{row[3]},{row[4]},{row[5]},'
+                     f"{row[6]},{row[7]},{row[8]}\n")
+
+
+def test_reports_csv_matches_the_per_row_writer(tmp_path):
+    shared = {"p": 1.0, "order": [1, 0]}
+    reports = [InequalityReport("b-id", "f", shared, 1.0, 2.0, 3.0),
+               InequalityReport("a-id", "f", {"p": 1.0, "order": [1, 0]}, 0.5, 2.0, 3.0),
+               InequalityReport("a-id", "f", shared, 0.25, 2.0, 3.0),
+               # sorted on the JSON text: a key that ends where another goes on
+               InequalityReport("a-id", "g", {"ab": 1.0}, 0.0, 0.0, math.inf, "why"),
+               InequalityReport("a-id", "g", {"a": 2, "b": "q\"x"}, 1.0, math.nan, 2.0)]
+    for _ in range(3):
+        reports.append(InequalityReport("c-id", "h", {"t": 0.5}, 1.0, 1.0, 1.0))
+    agf.cli.write_reports_csv(tmp_path / "got.csv", reports)
+    _reports_csv_per_row(tmp_path / "want.csv", reports)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_committed_corpus_reports_csv_matches_the_per_row_writer(tmp_path):
+    reports = run_experiment("embedding", default_corpus(20240901), budgets=None).reports
+    agf.cli.write_reports_csv(tmp_path / "got.csv", reports)
+    _reports_csv_per_row(tmp_path / "want.csv", reports)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

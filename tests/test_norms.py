@@ -9,15 +9,18 @@ from hypothesis.extra.numpy import arrays
 
 import agf.norms
 from agf import (
+    CorpusSpec,
     ParameterError,
     PreconditionError,
     ResourceError,
     besov_seminorm,
     decreasing_rearrangement,
+    default_corpus,
     derive_lipschitz_params,
     derive_params,
     gagliardo_seminorm,
     gagliardo_sums,
+    generate_corpus,
     iterated_rearrangement,
     lipschitz_seminorm,
     lorentz_norm,
@@ -520,3 +523,119 @@ def test_besov_divergent_in_both():
         curve = modulus_curve(f, 0, p)
         assert _besov_per_segment_oracle(curve, alpha, theta) == math.inf
         assert besov_seminorm(curve, alpha, theta) == math.inf
+
+
+# --- Besov panels kept on the curve, 16 nodes against composite panels ---------
+
+def _segments(curve):
+    """(d0, d1, a, b) of every segment, omega^p = a + b t on [d0, d1]."""
+    d, om = curve.deltas, curve.omega_p
+    b = np.diff(om) / np.diff(d)
+    return d[:-1], d[1:], om[:-1] - b * d[:-1], b
+
+
+def _besov_composite_oracle(curve, alpha, theta, panels=4, nodes=48):
+    """Finite-theta Besov seminorm with each smooth piece cut into ``panels`` panels."""
+    tp, at = theta / curve.p, alpha * theta
+    d0, d1, a, b = _segments(curve)
+    sub = (a == 0.0) & (d0 == 0.0)
+    acc = 0.0
+    if np.any(sub & (b != 0.0)):
+        e = tp - at
+        if e <= 0:
+            return math.inf
+        acc += float(b[0]) ** tp * float(d1[0]) ** e / e
+    flat = ~sub & (b == 0.0) & (a > 0.0)
+    acc += float(np.sum(a[flat] ** tp * (d0[flat] ** (-at) - d1[flat] ** (-at)) / at))
+    smooth = ~sub & (b != 0.0)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    cuts = d0[smooth, None] + (d1 - d0)[smooth, None] * np.linspace(0.0, 1.0, panels + 1)
+    mid, half = 0.5 * (cuts[:, 1:] + cuts[:, :-1]), 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+    t = mid[..., None] + half[..., None] * x
+    lin = a[smooth, None, None] + b[smooth, None, None] * t
+    acc += float(np.sum(half[..., None] * w * t ** (-at - 1.0) * lin**tp))
+    if curve.omega_p[-1] > 0.0 and curve.deltas[-1] > 0.0:
+        acc += float(curve.omega_p[-1]) ** tp * float(curve.deltas[-1]) ** (-at) / at
+    return acc ** (1.0 / theta)
+
+
+def _panel_test_functions():
+    """Every member of the committed corpus, and the fine hats of ``limits`` at seed 7."""
+    hats = [CorpusSpec("hat-multilinear", (1024,), (1 / 1024,), 8),
+            CorpusSpec("hat-multilinear", (32, 32), (1 / 32, 1 / 32), 9),
+            CorpusSpec("hat-multilinear", (64, 64), (1 / 64, 1 / 64), 10)]
+    funcs = [f for _, f in default_corpus(20240901)]
+    for spec in hats:
+        funcs.extend(f for _, f in generate_corpus(spec))
+    return funcs
+
+
+def test_besov_16_nodes_match_composite_panels():
+    smooth, divergent = 0, 0
+    for f in _panel_test_functions():
+        for k in range(f.dims):
+            for p in (1.0, 1.5, 2.0):
+                curve = modulus_curve(f, k, p)
+                smooth += int(np.count_nonzero(curve.besov_panels[3][0]))
+                for alpha in (0.3, 0.5, 1.0 - 2.0**-12):
+                    for theta in (1.0, 1.5, 2.0):
+                        want = _besov_composite_oracle(curve, alpha, theta)
+                        got = besov_seminorm(curve, alpha, theta)
+                        if math.isinf(want):
+                            divergent += 1
+                            assert got == math.inf
+                        else:
+                            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert smooth > 0 and divergent > 0
+
+
+@given(st.integers(1, 2).flatmap(lambda n: arrays(
+           np.float64, st.lists(st.integers(1, 9), min_size=n, max_size=n).map(tuple),
+           elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.75]))),
+       st.floats(0.01, 4.0), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_smooth_besov_pieces_span_at_most_a_doubling(vals, c, p, halfspace):
+    # the 16-node rule rests on d1 <= 2 d0 for every smooth piece
+    f = make_grid_function(vals, (c,) * vals.ndim, halfspace=halfspace)
+    for k in range(f.dims):
+        d0, d1, a, b = _segments(modulus_curve(f, k, p))
+        smooth = ~((a == 0.0) & (d0 == 0.0)) & (b != 0.0)
+        assert np.all(d0[smooth] > 0.0)
+        assert np.all(d1[smooth] <= 2.0 * d0[smooth])
+
+
+def test_besov_panels_are_built_once_per_curve(monkeypatch):
+    built = []
+    build = agf.norms.besov_panels
+    monkeypatch.setattr(agf.norms, "besov_panels", lambda curve: built.append(1) or build(curve))
+    f = make_grid_function(np.minimum(np.arange(1, 33), np.arange(32, 0, -1)) / 16.0, 1 / 32)
+    curve = modulus_curve(f, 0, 1.5)
+    besov_seminorm(curve, 0.5, math.inf)
+    assert built == []  # the sup reads the nodes alone
+    for alpha in (0.3, 0.5, 1.0 - 2.0**-12):
+        for theta in (1.5, 2.0, math.inf):
+            besov_seminorm(curve, alpha, theta)
+    assert built == [1]
+    panels = curve.besov_panels
+    assert panels is curve.besov_panels
+    assert not any(arr.flags.writeable for arr in panels[2] + panels[3])
+
+
+def test_besov_does_not_depend_on_the_call_order():
+    rng = np.random.default_rng(23)
+    f = make_grid_function(rng.uniform(0, 1, size=(9, 7)), (0.25, 0.5))
+    for k, p in ((0, 1.0), (1, 1.5), (1, 2.0)):
+        for (a1, t1), (a2, t2) in [((0.3, 1.0), (0.9, 2.0)), ((1.0 - 2.0**-12, 1.5), (0.5, 1.5))]:
+            used = modulus_curve(f, k, p)
+            besov_seminorm(used, a1, t1)
+            assert besov_seminorm(used, a2, t2) == besov_seminorm(modulus_curve(f, k, p), a2, t2)
+
+
+def test_besov_and_derive_params_reject_a_nan_theta():
+    curve = modulus_curve(make_grid_function([2.0, 1.0, 0.5], 0.5), 0, 1.0)
+    with pytest.raises(ParameterError):
+        besov_seminorm(curve, 0.5, math.nan)
+    assert besov_seminorm(curve, 0.5, math.inf) == lipschitz_seminorm(curve, 0.5).value
+    with pytest.raises(ParameterError):
+        derive_params(1.0, (0.5,), (math.nan,), 1)
+    assert math.isinf(derive_params(1.0, (0.5,), (math.inf,), 1).theta)

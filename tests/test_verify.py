@@ -373,6 +373,12 @@ def test_besov_limit_converges_on_hat():
             verify_limit_relations(Member(f), k, 1.0, 1.0, 4)
 
 
+def test_besov_limit_rejects_a_nan_theta():
+    f = make_grid_function([0.0, 1.0, 2.0, 1.0], 0.25)
+    with pytest.raises(ParameterError):
+        verify_limit_relations(Member(f), 0, 1.0, math.nan, 3)
+
+
 def test_limiting_sweep_weighted_bounded_control_divergent():
     x = (np.arange(16) + 0.5) / 16
     hat = np.minimum(x, 1 - x)
