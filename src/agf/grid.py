@@ -20,7 +20,7 @@ from .errors import ParameterError, ValidationError
 _MAGIC = b"AGF1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Nonnegative sampled function on a uniform grid.
 

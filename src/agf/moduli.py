@@ -110,7 +110,7 @@ def _scalar_or_array(out: np.ndarray):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModulusCurve:
     """Exact partial modulus curve: omega^p is piecewise linear between nodes.
 

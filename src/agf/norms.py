@@ -239,7 +239,7 @@ def besov_seminorm(curve: ModulusCurve, alpha: float, theta: float) -> float:
 _SIZE_GUARD = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GagliardoSums:
     """The alpha-free part of the Gagliardo seminorm of one (f, p).
 

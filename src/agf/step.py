@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     breakpoints: np.ndarray  # strictly increasing, > 0
     values: np.ndarray       # nonnegative, value on (t_{i-1}, t_i]

@@ -22,8 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, ResourceError
-from .geometry import (AnisotropicGauge, box_average_field, box_weights, build_gauge,
-                       contract_axes)
+from .geometry import AnisotropicGauge, box_average_field, build_gauge, contract_axes
 from .grid import GridFunction, make_grid_function
 from .moduli import _BLOCK, ModulusCurve, interval_curve_1d, modulus_curve, steklov_distances
 from .norms import (
@@ -97,7 +96,7 @@ class InequalityReport:
         return "pass" if self.ratio <= self.budget * (1.0 + REL_TOL) else "fail"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitTrace:
     """A scaled quantity along a dyadic parameter sequence, against its limit target."""
 
@@ -153,6 +152,9 @@ def _check_shifts(values, name: str) -> None:
     for v in values:
         if not v > 0:
             raise ParameterError(f"{name} must be > 0, got {v}")
+
+
+_ITSELF = object()  # the ``Member.iterated`` item of a record that is its own rearrangement
 
 
 class Member:
@@ -211,10 +213,25 @@ class Member:
         return self._item(("gauge", order), lambda: build_gauge(self.f, order))
 
     def iterated(self, order) -> Member:
-        """The record of ``iterated_rearrangement(f, order)``."""
+        """The record of ``iterated_rearrangement(f, order)``.
+
+        That is this record itself when f already is its iterated
+        rearrangement: a half-space f anchored at 0 whose values the
+        rearrangement keeps, as every coordinate-wise nonincreasing member's
+        are.  ``_items`` then holds a marker, not the record, so the record
+        holds no reference to itself.
+        """
         order = tuple(int(k) for k in order)
-        return self._item(("iterated", order), lambda: Member(
-            iterated_rearrangement(self.f, order), self.function_id))
+
+        def build():
+            f = self.f
+            g = iterated_rearrangement(f, order)
+            if f.halfspace and not any(f.origin) and np.array_equal(g.values, f.values):
+                return _ITSELF
+            return Member(g, self.function_id)
+
+        got = self._item(("iterated", order), build)
+        return self if got is _ITSELF else got
 
     @property
     def box_panels(self) -> list[BoxPanels]:
@@ -710,9 +727,11 @@ def verify_rearrangement_modulus(m: Member, p: float, deltas) -> list[Inequality
                                 f"not computed: {exc}") for prm in params]
         if zero:
             return [_degenerate("rearrangement-modulus-1d", function_id, n, prm) for prm in params]
-        # one interval curve each for g and g*, read at every delta
+        # one interval curve each for g and g*, read at every delta; g* is g
+        # itself when g is already nonincreasing
         g_curve = interval_curve_1d(make_grid_function(vals, f.cell_sizes), p)
-        star_curve = interval_curve_1d(make_grid_function(np.sort(vals)[::-1], f.cell_sizes), p)
+        star_curve = (g_curve if not np.any(np.diff(vals) > 0) else interval_curve_1d(
+            make_grid_function(np.sort(vals)[::-1], f.cell_sizes), p))
         return [_report("rearrangement-modulus-1d", function_id, n, prm,
                         star_curve(delta), g_curve(delta))
                 for prm, delta in zip(params, deltas)]
@@ -796,25 +815,67 @@ class BoxPanels(NamedTuple):
 
     Panels split [0, 2 * extent] at every cell edge and doubled cell edge,
     where the box average has kinks, under the substitution x = s^2.
-    ``nodes`` holds the Gauss nodes in s, ``half_weights`` their Gauss
-    weights times the panel half-width, and ``box`` the box matrix W of the
-    axis at x = nodes^2, one column per cell.
+    ``nodes`` holds the Gauss nodes in s and ``half_weights`` their Gauss
+    weights times the panel half-width.  The box matrix W of the axis at
+    x = nodes^2 is kept as its parts (``_axis_panels``): the row of W at x is
+    ``lo_weight`` at the cell that holds x/2, ``hi_weight`` at the cell that
+    holds x, and ``mid_weight`` = 2c/x at every cell strictly between them.
+    Those two cells are the same along a run of nodes, so ``runs`` holds the
+    first node of each run and ``lo`` and ``hi`` its two cells; both rise
+    from run to run.  A cell index equal to the axis's cell count stands for
+    the cells past the grid, which get no weight.
     """
 
     nodes: np.ndarray
     half_weights: np.ndarray
-    box: np.ndarray
+    lo_weight: np.ndarray
+    hi_weight: np.ndarray
+    mid_weight: np.ndarray
+    runs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     def weights(self, a: float) -> np.ndarray:
         """Quadrature weights in x for the weight x^a (Jacobian 2 s included)."""
-        return self.half_weights * 2.0 * self.nodes ** (2.0 * a + 1.0)
+        w = self.nodes ** (2.0 * a + 1.0)
+        w *= self.half_weights
+        w *= 2.0
+        return w
+
+
+def _axis_panels(sn: np.ndarray, hw: np.ndarray, s: int, c: float) -> BoxPanels:
+    """The ``BoxPanels`` of an axis of s cells of size c at rising nodes sn > 0.
+
+    At x = sn^2 the row of ``box_weights(x, s, c)`` is lo_weight at the cell
+    that holds x/2, mid_weight = 2c/x on the cells strictly between, and
+    hi_weight at the cell that holds x.  The end weights carry the bits of
+    ``box_weights``.  The interior weight is c/(x/2) rounded once, where
+    ``box_weights`` takes each cell's width as the difference of its rounded
+    edges, so the two differ by a few ulps of the edges.
+    """
+    x = sn**2
+    edges = np.arange(s + 1, dtype=np.float64) * c
+    half = x / 2.0
+    lo = np.searchsorted(edges, half, side="right") - 1
+    hi = np.searchsorted(edges, x, side="right") - 1
+    runs = np.flatnonzero((np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0))
+    lo_w = np.append(edges[1:], np.inf)[lo]  # the upper edge of cell lo
+    np.minimum(lo_w, x, out=lo_w)
+    lo_w -= half
+    lo_w[lo >= s] = 0.0
+    lo_w /= half
+    hi_w = np.subtract(x, edges[hi], out=x)
+    hi_w[(hi <= lo) | (hi >= s)] = 0.0
+    hi_w /= half
+    return BoxPanels(sn, hw, lo_w, hi_w, np.divide(c, half, out=half), runs, lo[runs], hi[runs])
 
 
 def box_panels(phi: GridFunction) -> list[BoxPanels]:
     """One ``BoxPanels`` per axis of phi; they depend on its shape and cells only.
 
-    An axis of s cells has about 1.5 s panels, so m = 24 s Gauss nodes and a
-    box matrix of 24 s^2 float64 values.
+    An axis of s cells has about 1.5 s panels and m = 24 s Gauss nodes.  Its
+    panels hold five arrays of m values and three of one value per run,
+    never the m x s box matrix.
     """
     nodes, gw = _leggauss(_BOX_NODES)
     out = []
@@ -828,8 +889,105 @@ def box_panels(phi: GridFunction) -> list[BoxPanels]:
         half = 0.5 * (se[1:] - se[:-1])
         sn = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
         hw = (half[:, None] * gw[None, :]).ravel()
-        out.append(BoxPanels(sn, hw, box_weights(sn**2, s, c)))
+        out.append(_axis_panels(sn, hw, s, c))
     return out
+
+
+def _range_sums(values: np.ndarray, starts, stops) -> np.ndarray:
+    """``values[starts[q]:stops[q]].sum(axis=0)`` for each q, 0 where the slice is empty.
+
+    One ``np.add.reduceat`` adds each slice on its own, so no sum is taken
+    as a difference of prefix sums, which would cancel.
+    """
+    padded = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
+    idx = np.minimum(np.column_stack([starts, stops]).ravel(), len(values))
+    out = np.add.reduceat(padded, idx, axis=0)[::2]
+    out[np.asarray(stops) <= np.asarray(starts)] = 0.0
+    return out
+
+
+def _inside(pn: BoxPanels, s: int):
+    """Per cell j, the block [first[j], stop[j]) of the runs with lo < j < hi.
+
+    Both indices rise from run to run, so the runs with hi > j begin at
+    ``first[j]`` and those with lo < j end at ``stop[j]``.
+    """
+    cells = np.arange(s)
+    return np.searchsorted(pn.hi, cells, side="right"), np.searchsorted(pn.lo, cells)
+
+
+def _cell_sums(pn: BoxPanels, s: int, lo_sums, mid_sums, hi_sums, inside) -> np.ndarray:
+    """Per cell, the run sums of the runs that hold it at lo, inside or at hi.
+
+    The end sums are scattered to their cells; each cell's interior sum is
+    one slice sum over the block of runs ``inside`` gives for it.
+    """
+    return ((np.bincount(pn.lo, lo_sums, s + 1) + np.bincount(pn.hi, hi_sums, s + 1))[:s]
+            + _range_sums(mid_sums, *inside))
+
+
+def _box_vector(pn: BoxPanels, w: np.ndarray, s: int) -> np.ndarray:
+    """g = W^T w for the s cells of the axis, in O(m + s) index work."""
+    return _cell_sums(pn, s, *(np.add.reduceat(w * u, pn.runs)
+                               for u in (pn.lo_weight, pn.mid_weight, pn.hi_weight)),
+                      _inside(pn, s))
+
+
+def _box_gram(pn: BoxPanels, w: np.ndarray, s: int) -> np.ndarray:
+    """G = W^T diag(w) W for the s cells of the axis, from per-run node sums.
+
+    A row of W is lo_weight at lo, mid_weight inside (lo, hi) and hi_weight
+    at hi.  The diagonal adds each weight squared, as g adds the weights.
+    Above it, i < j: the runs with lo = i or i inside that hold j inside
+    are those from first[j] on among the runs below stop[i] or with lo = i,
+    so the entries of row i are sums from the far end of one row of run
+    sums; the runs with hi = j that hold i inside are those below stop[i],
+    a sum from the near end of row j; and i = lo, j = hi is one run sum.
+    No sum is a difference.
+    """
+    def run_sums(u, v):
+        return np.add.reduceat(w * u * v, pn.runs)
+
+    lw, mw, hw = pn.lo_weight, pn.mid_weight, pn.hi_weight
+    first, stop = inside = _inside(pn, s)
+    q = np.arange(pn.runs.size)
+    inner = run_sums(mw, mw)
+    # each run has its own (lo, hi), so no index below repeats
+    tail = np.zeros((s + 1, q.size + 1))
+    tail[:s, :-1] = np.where(q < stop[:, None], inner, 0.0)
+    tail[pn.lo, q] += run_sums(lw, mw)
+    tail = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
+    head = np.zeros((s + 1, q.size + 1))
+    head[pn.hi, q + 1] = run_sums(hw, mw)
+    head = np.cumsum(head, axis=1)
+    ends = np.zeros((s + 1, s + 1))
+    ends[pn.lo, pn.hi] = run_sums(lw, hw)
+    upper = np.triu(tail[:s, first] + head[:s, stop].T + ends[:s, :s], 1)
+    diag = _cell_sums(pn, s, run_sums(lw, lw), inner, run_sums(hw, hw), inside)
+    return upper + upper.T + np.diag(diag)
+
+
+def _box_along(pn: BoxPanels, values: np.ndarray, axis: int, start: int = 0,
+               stop: int | None = None) -> np.ndarray:
+    """``W[start:stop] @ values`` along one axis: T at those nodes, from range sums.
+
+    The axis's cells are replaced by the nodes.  Each run's two end cells
+    and its interior slice sum are read once and repeated over its nodes.
+    """
+    v = np.moveaxis(values, axis, 0)
+    s = v.shape[0]
+    flat = np.concatenate([v.reshape(s, -1), np.zeros((1, v[0].size))])  # row s: past the grid
+    m = pn.nodes.size
+    stop = m if stop is None else min(stop, m)
+    counts = np.diff(np.clip(np.append(pn.runs, m), start, stop))
+    out = 0.0
+    for u, rows in ((pn.lo_weight, flat[pn.lo]), (pn.hi_weight, flat[pn.hi]),
+                    (pn.mid_weight, _range_sums(flat[:s], pn.lo + 1, pn.hi))):
+        part = np.repeat(rows, counts, axis=0)
+        part *= u[start:stop, None]
+        out += part
+        del part  # one part alive at a time
+    return np.moveaxis(out.reshape((-1,) + v.shape[1:]), 0, axis)
 
 
 def box_operator_weighted_integral(m: Member, r: float, a: float) -> float:
@@ -841,18 +999,20 @@ def box_operator_weighted_integral(m: Member, r: float, a: float) -> float:
     nodes resolve it to near machine precision.
 
     The box average is separable, T phi(x) = sum_c phi_c prod_k W_k(x_k, c_k),
-    so the m_1 x ... x m_n Gauss tensor grid is never needed for r = 1 or 2:
+    and a row of W_k is one contiguous range of cells (``BoxPanels``), so no
+    m_k x s_k matrix W_k is formed, for m_k Gauss nodes and s_k cells on
+    axis k, and for r = 1 or 2 no Gauss tensor grid either:
 
-    * r = 1 is sum_c phi_c prod_k g_k(c_k) with g_k = w_k^T W_k, about
-      sum_k m_k s_k products for s_k cells on axis k;
+    * r = 1 is sum_c phi_c prod_k g_k(c_k) with g_k = W_k^T w_k, in
+      O(m_k + s_k) index work per axis;
     * r = 2 with n >= 2 contracts phi with one Gram matrix
-      G_k = W_k^T diag(w_k) W_k per axis (m_k s_k^2 products each) and takes
-      the inner product with phi;
-    * any other r, and r = 2 in 1-D, where the m_1 Gauss nodes cost less than
-      the m_1 s_1^2 of a Gram matrix, evaluate T phi on the tensor grid in
-      chunks over axis 0, ``_BOX_CHUNK`` values at a time, so memory stays
-      bounded.
+      G_k = W_k^T diag(w_k) W_k per axis, built from per-run node sums into
+      an s_k x s_k array, and takes the inner product with phi;
+    * any other r, and r = 2 in 1-D, evaluate T phi on the tensor grid from
+      range sums of phi along each axis, in chunks over axis 0,
+      ``_BOX_CHUNK`` values at a time, so memory stays bounded.
 
+    Every range sum adds its own slice, never a difference of prefix sums.
     phi is ``m.f``; ``m.box_panels`` holds the Gauss panels of each axis.
     """
     if a <= -1.0:
@@ -860,21 +1020,24 @@ def box_operator_weighted_integral(m: Member, r: float, a: float) -> float:
     phi = m.f
     if any(o != 0.0 for o in phi.origin):
         raise PreconditionError("the box operator lives on grids anchored at the origin")
-    weights = [pn.weights(a) for pn in m.box_panels]
-    mats = [pn.box for pn in m.box_panels]
+    panels = m.box_panels
+    weights = [pn.weights(a) for pn in panels]
     if r == 1:
         out = phi.values
-        for w, mat in zip(weights, mats):
-            out = np.tensordot(w @ mat, out, axes=([0], [0]))
+        for pn, w, s in zip(panels, weights, phi.shape):
+            out = np.tensordot(_box_vector(pn, w, s), out, axes=([0], [0]))
         return float(out)
     if r == 2 and phi.dims > 1:
-        grams = [(mat * w[:, None]).T @ mat for w, mat in zip(weights, mats)]
+        grams = [_box_gram(pn, w, s) for pn, w, s in zip(panels, weights, phi.shape)]
         return float(np.vdot(phi.values, contract_axes(phi.values, grams)))
-    rest = math.prod(mat.shape[0] for mat in mats[1:])
+    rest = math.prod(pn.nodes.size for pn in panels[1:])
     step = max(1, _BOX_CHUNK // rest)
     total = 0.0
-    for i in range(0, mats[0].shape[0], step):
-        field = contract_axes(phi.values, [mats[0][i:i + step]] + mats[1:]) ** r
+    for i in range(0, panels[0].nodes.size, step):
+        field = _box_along(panels[0], phi.values, 0, i, i + step)
+        for k in range(1, phi.dims):
+            field = _box_along(panels[k], field, k)
+        field **= r
         for w in [weights[0][i:i + step]] + weights[1:]:
             field = np.tensordot(w, field, axes=([0], [0]))
         total += float(field)
