@@ -101,7 +101,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
     Summation runs over the flat C-ordered value array, so the result is
     deterministic and permutation-invariant up to float accumulation.
     """
-    if p < 1:
+    if not p >= 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     acc = float(np.sum(f.values.ravel() ** p, dtype=np.float64))
     return (acc * f.cell_volume) ** (1.0 / p)

@@ -6,12 +6,13 @@ multiples of the cell size.  Everything here exploits that: moduli, their
 integrals, and their suprema are all closed-form, with no quadrature error.
 
 One shift-power profile per (f, k, p) carries all of it.  Its inner sums over
-pairs of cells j apart come from ``_diagonal_power_sums``, a blocked
-offset-sum pass: O(N_k * size) array work, temporaries near ``_BLOCK``
-elements and no Python step per shift.  The Gagliardo offset sums of
-``norms`` use it for the zero leading offset only.  The curve readers take
-an array of shifts, and ``steklov_distances`` gives the Steklov distances
-of every window of one (f, k, p) in one call.
+pairs of cells j apart come from ``_pair_power_sums``, a pass over the pair
+plane that forms each pair of cells once, in temporaries near ``_BLOCK``
+elements and with no Python step per shift.  It is the one kernel of such
+sums: the interval curves and every Gagliardo offset sum of ``norms`` use
+it too.  The curve readers take an array of shifts, and
+``steklov_distances`` gives the Steklov distances of every window of one
+(f, k, p) in one call.
 """
 
 from __future__ import annotations
@@ -26,55 +27,65 @@ from .errors import ParameterError, PreconditionError
 from .grid import GridFunction
 from .rearrange import is_mdec
 
-_BLOCK = 1 << 15  # float64 elements in one array temporary of the offset sums
+_BLOCK = 1 << 15  # float64 elements in one array temporary of the pair sums
+_RUN = 256  # cells in one tile row of ``_pair_power_sums``, the slab rows innermost
 
 
-def _diagonal_power_sums(moved: np.ndarray, fixed: np.ndarray, p: float) -> np.ndarray:
-    """sum over rows r and y of |moved[r, y + j] - fixed[r, y]|^p for j = 1..L-1.
+def _pair_power_sums(moved: np.ndarray, fixed: np.ndarray, p: float) -> np.ndarray:
+    """sum over rows r and y of |moved[r, y + b] - fixed[r, y]|^p, per offset b.
 
-    ``fixed`` is (rows, L); ``moved`` holds the same rows zero-padded to 2L.
-    Blocks of offsets j and of rows keep every temporary near ``_BLOCK``
-    elements.  Each offset's pairs are laid out contiguously behind one zero
-    and summed by ``np.add.reduceat``, which reduces such a run exactly as
-    ``np.sum`` reduces the pairs alone.  These are the inner sums of the
-    shift-power profile and of the interval curve, and the Gagliardo offset
-    sums of the zero leading offset, 1-D included.  A nonzero leading offset
-    pairs two different slabs, which ``norms._lead_power_sums`` sums.
+    ``moved`` and ``fixed`` are (rows, L) slabs; b runs over 1-L..L-1.  One
+    slab passed twice (``moved is fixed``) pairs the same cells at b and -b,
+    so b runs over 1..L-1 only: the inner sums of the shift-power profile
+    and of the interval curve, and the zero leading offset of
+    ``norms._offset_power_sums``, whose other leading offsets pass two slabs.
+
+    The pairs (y + b, y) fill an L x L pair plane, and the sum at b is its
+    diagonal b, so each pair is formed once.  The plane is cut into bands of
+    ``cols`` columns y.  A band has one tile row per offset b that meets it,
+    b >= 1 for one slab; the row lays its pairs out column by column, the
+    slab rows innermost, as one contiguous run of ``cols * rows`` cells
+    (about ``_RUN``), which ``np.add.reduceat`` sums.  Rows that reach past
+    the grid form those pairs against zero padding and leave them out of
+    the run, a share of about (cols - 1) / L of the work.  A tile holds
+    about ``_BLOCK`` elements, at least one tile row.
     """
     rows, size = fixed.shape
-    out = np.empty(size - 1)
-    j = 1
-    while j < size:
-        span = size - j  # pairs of offset j; the later offsets of a block have fewer
-        width = span + 2  # a zero, the pairs, one spare zero column
-        k = max(1, min(span, _BLOCK // width))
-        rows_per_block = max(1, _BLOCK // (k * width))
-        acc = np.zeros((k, width))
-        # windows[r, i, y] = moved[r, j + i + y]: a view of k + span - 1 columns
-        part = moved[:, j:j + k + span - 1]
-        windows = as_strided(part, (rows, k, span), part.strides + part.strides[1:],
-                             writeable=False)
-        for r in range(0, rows, rows_per_block):
-            diff = windows[r:r + rows_per_block] - fixed[r:r + rows_per_block, None, :span]
-            np.abs(diff, out=diff)
+    half = moved is fixed
+    cols = max(1, min(size, -(-_RUN // rows)))
+    span = size + cols - 1  # offsets b that meet a band of cols columns
+    pitch = cols * rows  # elements of one tile row
+    per_tile = max(1, min(span, _BLOCK // pitch))
+    # moved with its columns as rows, cols - 1 zero rows before and after
+    mt = np.zeros((span + cols - 1, rows))
+    mt[cols - 1:cols - 1 + size] = moved.T
+    ft = np.ascontiguousarray(fixed.T)
+    # band c pairs fixed column y = c + t at offset b = i - (c + cols - 1)
+    # with moved column y' = i + t - (cols - 1), which is mt[i + t] for every c
+    win = as_strided(mt, (span, cols, rows), (mt.strides[0],) + mt.strides, writeable=False)
+    i = np.arange(span)
+    # tile row i sums t from the first to the last with y' inside the grid
+    runs = np.stack([np.maximum(cols - 1 - i, 0), np.minimum(span - i, cols)], axis=1) * rows
+    starts = np.arange(per_tile)[:, None] * pitch
+    buf = np.empty(per_tile * pitch + 1)  # a spare element ends the last run
+    tiles = buf[:-1].reshape(per_tile, cols, rows)
+    out = np.zeros(2 * size - 1)
+    for c in range(0, size, cols):
+        t = min(cols, size - c)
+        # one slab starts at b = 1; a short last band meets fewer offsets: b >= -(c + t - 1)
+        for i0 in range(c + cols if half else cols - t, span, per_tile):
+            i1 = min(i0 + per_tile, span)
+            k = i1 - i0
+            tile = tiles[:k, :t]
+            np.subtract(win[i0:i1, :t], ft[c:c + t], out=tile)
+            np.abs(tile, out=tile)
             if p != 1.0:
-                np.power(diff, p, out=diff)
-            acc[:, 1:-1] += diff.sum(axis=0)
-        # the run of offset j + i: its zero, then its span - i pairs
-        starts = np.arange(k) * width
-        bounds = np.stack([starts, starts + 1 + span - np.arange(k)], axis=1)
-        out[j - 1:j - 1 + k] = np.add.reduceat(acc.ravel(), bounds.ravel())[::2]
-        j += k
-    return out
-
-
-def _axis_rows(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lines of ``values`` along axis k as rows, and those rows zero-padded to 2 N_k."""
-    n = values.shape[k]
-    rows = np.moveaxis(values, k, -1).reshape(-1, n)
-    padded = np.zeros((rows.shape[0], 2 * n))
-    padded[:, :n] = rows
-    return rows, padded
+                np.power(tile, p, out=tile)
+            bounds = np.minimum(runs[i0:i1], t * rows)
+            bounds += starts[:k]
+            at = i0 - c - cols + size  # out[b + L - 1] for b of tile row i0
+            out[at:at + k] += np.add.reduceat(buf[:k * pitch + 1], bounds.ravel())[::2]
+    return out[size:] if half else out
 
 
 def _shift_power_profile(f: GridFunction, k: int, p: float) -> np.ndarray:
@@ -83,17 +94,18 @@ def _shift_power_profile(f: GridFunction, k: int, p: float) -> np.ndarray:
     Zero extension outside the grid; for halfspace functions mass crossing the
     coordinate hyperplane x_k = 0 is not counted (shifts compared inside the
     domain only).  The inner sums over pairs j cells apart along axis k come
-    from ``_diagonal_power_sums`` in one blocked pass; the pairs that leave
-    the grid on either side are cumulative sums of the per-slice power sums.
-    The work is O(N_k * size) array work with temporaries near ``_BLOCK``.
+    from ``_pair_power_sums`` with the lines of axis k as one slab; the pairs
+    that leave the grid on either side are cumulative sums of the per-slice
+    power sums.  The work is about N_k * size / 2 array elements, in
+    temporaries near ``_BLOCK``.
     """
     if not 0 <= k < f.dims:
         raise ParameterError(f"axis {k} out of range for dims={f.dims}")
-    rows, padded = _axis_rows(f.values, k)
-    n = rows.shape[1]
+    n = f.shape[k]
+    rows = np.moveaxis(f.values, k, -1).reshape(-1, n)
     slices = np.sum(np.abs(rows) ** p, axis=0)
     out = np.zeros(n + 1)
-    out[1:n] = _diagonal_power_sums(padded, rows, p)
+    out[1:n] = _pair_power_sums(rows, rows, p)
     out[1:] += np.cumsum(slices[::-1])
     if not f.halfspace:
         out[1:] += np.cumsum(slices)
@@ -280,18 +292,18 @@ def interval_curve_1d(f: GridFunction, p: float) -> ModulusCurve:
 
     This is the [0, 1]-setting modulus: shifted differences are integrated over
     x with both x and x + h inside the interval, so the profile is the inner
-    sums of ``_diagonal_power_sums`` alone, zero from h = extent on.  Exact via
+    sums of ``_pair_power_sums`` alone, zero from h = extent on.  Exact via
     the same piecewise-linear-in-h identity.
     """
     if f.dims != 1:
         raise PreconditionError("interval modulus is defined for 1-D functions")
     if not p >= 1:
         raise ParameterError(f"p must be >= 1, got {p}")
-    rows, padded = _axis_rows(f.values, 0)
-    n = rows.shape[1]
+    row = f.values.reshape(1, -1)
+    n = row.shape[1]
     c = f.cell_sizes[0]
     prof = np.zeros(n + 1)
-    prof[1:n] = _diagonal_power_sums(padded, rows, p) * c
+    prof[1:n] = _pair_power_sums(row, row, p) * c
     d, w = _running_max_curve(prof, c)
     return ModulusCurve(0, p, d, w, prof, c)
 

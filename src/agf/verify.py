@@ -527,6 +527,7 @@ def verify_lipschitz_endpoint(m: Member, p: float) -> InequalityReport:
     With every axis smoothness equal to 1: Lorentz(q*, s) norm of f* against
     the product of sup-slope seminorms, q* = np/(n-p), s = p.
     """
+    _check_p(p)
     n = m.f.dims
     lp = derive_lipschitz_params(p, (1.0,) * n, n)
     params = {"p": p, "q_star": lp.q_star, "s": lp.s}
@@ -661,6 +662,7 @@ def verify_fractional_sobolev(m: Member, p: float, alpha: float) -> list[Inequal
     a grid past the size guard of that integral both reports are degenerate,
     and their truncation names the cell count and the guard.
     """
+    _check_p(p)
     f, function_id = m.f, m.function_id
     n = f.dims
     if not 0.5 <= alpha < 1.0:
@@ -1015,8 +1017,7 @@ def box_operator_weighted_integral(m: Member, r: float, a: float) -> float:
     Every range sum adds its own slice, never a difference of prefix sums.
     phi is ``m.f``; ``m.box_panels`` holds the Gauss panels of each axis.
     """
-    if a <= -1.0:
-        raise ParameterError(f"the weight is integrable only for a > -1, got {a}")
+    _check_box_exponents(r, a)
     phi = m.f
     if any(o != 0.0 for o in phi.origin):
         raise PreconditionError("the box operator lives on grids anchored at the origin")
@@ -1044,6 +1045,14 @@ def box_operator_weighted_integral(m: Member, r: float, a: float) -> float:
     return total
 
 
+def _check_box_exponents(r: float, a: float) -> None:
+    """Reject an r that is not >= 1 or a weight exponent a that is not > -1, NaN included."""
+    if not r >= 1.0:
+        raise ParameterError(f"r must be >= 1, got {r}")
+    if not a > -1.0:
+        raise ParameterError(f"the weight is integrable only for a > -1, got {a}")
+
+
 def verify_box_operator(m: Member, rs, a_values) -> list[InequalityReport]:
     """Dyadic-box averaging operator bounds with their stated constants.
 
@@ -1064,6 +1073,7 @@ def verify_box_operator(m: Member, rs, a_values) -> list[InequalityReport]:
     for r in rs:
         for a in a_values:
             params = {"r": float(r), "a": float(a)}
+            _check_box_exponents(r, a)
             if zero:
                 reports.append(_degenerate("box-operator-weight", function_id, n, params))
                 continue
@@ -1083,8 +1093,9 @@ def axis_decrement_integral(f: GridFunction, k: int, mu: float, h, p: float):
     h is a scalar or an array; each h cuts the piece it falls in (its cells
     read at the cut piece's own midpoint) and adds its pieces left to right.
     """
-    if mu <= 1.0:
+    if not mu > 1.0:
         raise ParameterError(f"mu must be > 1, got {mu}")
+    _check_p(p)
     hs = np.ravel(h).astype(np.float64)
     _check_shifts(hs, "h")
     if not is_mdec(f):
@@ -1118,6 +1129,7 @@ def verify_axis_decrement(m: Member, p: float, mus, h_values) -> list[Inequality
     For coordinate-wise nonincreasing f on the orthant, each axis k, mu > 1:
     the exact column integral is at most 4 mu omega_k(f; h)_p / h.
     """
+    _check_p(p)
     _check_shifts(h_values, "shift h")
     f, function_id = m.f, m.function_id
     reports: list[InequalityReport] = []
@@ -1125,6 +1137,8 @@ def verify_axis_decrement(m: Member, p: float, mus, h_values) -> list[Inequality
     zero = f.support_cells == 0
     for k in range(n):
         for mu in mus:
+            if not mu > 1.0:  # checked before the zero shortcut too
+                raise ParameterError(f"mu must be > 1, got {mu}")
             params = [{"p": p, "axis": k, "mu": float(mu), "h": float(h)} for h in h_values]
             if zero:
                 reports += [_degenerate("axis-decrement", function_id, n, prm) for prm in params]

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from agf import GridFunction, ValidationError, load_agf, lp_norm, make_grid_function, save_agf
+from agf import (GridFunction, ParameterError, ValidationError, load_agf, lp_norm,
+                 make_grid_function, save_agf)
 from agf.grid import load_cells_csv
 
 
@@ -42,6 +45,12 @@ def test_lp_norm_known_values():
     assert lp_norm(f, 2) == pytest.approx(1.0)
     g = make_grid_function([2.0, 0.0], 0.5)
     assert lp_norm(g, 2) == pytest.approx((4.0 * 0.5) ** 0.5)
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan])
+def test_lp_norm_rejects_a_bad_p(p):
+    with pytest.raises(ParameterError, match="p must be >= 1"):
+        lp_norm(make_grid_function([1.0, 2.0], 0.5), p)
 
 
 @given(arrays(np.float64, st.integers(1, 30),

@@ -14,12 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import agf.moduli
 import agf.verify
 from agf import (CorpusSpec, GridFunction, default_corpus, generate_corpus,
                  interval_curve_1d, interval_modulus_1d, make_grid_function, modulus_curve,
                  run_experiment, steklov_distance, steklov_distances)
-from agf.moduli import (_BLOCK, _diagonal_power_sums, _running_max_curve,
+from agf.moduli import (_BLOCK, _pair_power_sums, _running_max_curve,
                         _shift_power_profile, _steklov_weights)
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -129,12 +133,13 @@ def _shifts(f, k):
 
 @pytest.mark.parametrize("fid", _ONE_D)
 def test_one_dimensional_inner_sums_equal_the_per_shift_sums(fid):
+    # the pair plane sums in bands, not in the order of np.sum: within 5.4e-16 here
     a = _MEMBERS[fid].values
     n = a.size
-    padded = np.concatenate([a, np.zeros(n)])[None, :]
+    row = a[None, :]
     for p in (1.0, 1.5, 2.0):
-        got = _diagonal_power_sums(padded, a[None, :], p)
-        assert got.tolist() == [float(np.sum(np.abs(a[j:] - a[:-j]) ** p)) for j in range(1, n)]
+        want = [float(np.sum(np.abs(a[j:] - a[:-j]) ** p)) for j in range(1, n)]
+        np.testing.assert_allclose(_pair_power_sums(row, row, p), want, rtol=2e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("fid", list(_MEMBERS))
@@ -145,6 +150,47 @@ def test_profile_matches_the_per_shift_loop(fid):
             for p in (1.0, 2.0):
                 got, want = _shift_power_profile(g, k, p), _profile_loop(g, k, p)
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _interval_profile_loop(f, p):
+    a, c = f.values, f.cell_sizes[0]
+    inner = [float(np.sum(np.abs(a[j:] - a[:-j]) ** p)) * c for j in range(1, a.size)]
+    return [0.0] + inner + [0.0]
+
+
+@pytest.mark.parametrize("run, block", [(1, 1), (2, 5), (3, 16), (7, 40)])
+def test_same_slab_sums_in_small_tiles_against_the_per_shift_loop(monkeypatch, run, block):
+    # one slab passed twice starts each band at offset 1: tiles of one row,
+    # short last bands and offsets split over several tiles meet that start
+    monkeypatch.setattr(agf.moduli, "_RUN", run)
+    monkeypatch.setattr(agf.moduli, "_BLOCK", block)
+    rng = np.random.default_rng(7 * run + block)
+    for shape in [(9,), (2, 9), (5, 7), (3, 4, 5), (1, 300), (40, 3)]:
+        vals = rng.uniform(0, 2, size=shape)
+        f = make_grid_function(vals, (0.25,) * len(shape), halfspace=True)
+        for g in (f, _full_space(f)):
+            for k in range(f.dims):
+                for p in (1.0, 1.5):
+                    np.testing.assert_allclose(_shift_power_profile(g, k, p),
+                                               _profile_loop(g, k, p), rtol=1e-14, atol=0.0)
+        line = make_grid_function(vals.ravel(), 1.0 / vals.size)
+        for p in (1.0, 1.5):
+            np.testing.assert_allclose(interval_curve_1d(line, p).profile,
+                                       _interval_profile_loop(line, p), rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), p=st.sampled_from([1.0, 2.0]),
+       shape=st.sampled_from([(1,), (2,), (7,), (2, 3), (4, 4), (1, 9), (6, 2), (2, 2, 3)]))
+def test_same_slab_sums_of_small_integers_are_exact(data, p, shape):
+    # at p = 1 and 2 every sum of small integers is exact, in any order
+    vals = data.draw(arrays(np.float64, shape, elements=st.integers(0, 8).map(float)))
+    f = make_grid_function(vals, (0.5,) * len(shape))
+    for g in (f, GridFunction(vals, f.cell_sizes, f.origin, halfspace=True)):
+        for k in range(f.dims):
+            assert _shift_power_profile(g, k, p).tolist() == _profile_loop(g, k, p).tolist()
+    line = make_grid_function(vals.ravel(), 0.5)
+    assert interval_curve_1d(line, p).profile.tolist() == _interval_profile_loop(line, p)
 
 
 @pytest.mark.parametrize("fid", list(_MEMBERS))
@@ -254,8 +300,9 @@ def test_interval_curve_equals_the_per_delta_moduli(fid):
         for p in (1.0, 2.0):
             curve = interval_curve_1d(g, p)
             want = [_interval_modulus_loop(g, d, p) for d in deltas]
-            assert [curve(d) for d in deltas] == want
-            assert [interval_modulus_1d(g, d, p) for d in deltas] == want
+            # the profile's inner sums are added in another order: within 5.4e-16 here
+            np.testing.assert_allclose([curve(d) for d in deltas], want, rtol=2e-15, atol=0.0)
+            assert [interval_modulus_1d(g, d, p) for d in deltas] == [curve(d) for d in deltas]
 
 
 # --- Steklov distances ----------------------------------------------------------

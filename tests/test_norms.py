@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import agf.moduli
 import agf.norms
 from agf import (
     CorpusSpec,
@@ -29,7 +30,7 @@ from agf import (
     mixed_lorentz_norm,
     modulus_curve,
 )
-from agf.moduli import _diagonal_power_sums
+from agf.moduli import _pair_power_sums
 from agf.norms import _offset_power_sums
 from agf.step import StepFunction
 
@@ -293,7 +294,8 @@ def test_offset_power_sums_1d_keep_the_bits_of_np_sum():
             offs, sums = _offset_power_sums(a, p)
             assert offs[:, 0].tolist() == list(range(1, nn))
             want = [float(np.sum(np.abs(a[o:] - a[:-o]) ** p)) for o in range(1, nn)]
-            assert sums.tolist() == want
+            # the pair plane sums in bands, not in the order of np.sum: within 3.9e-16 here
+            np.testing.assert_allclose(sums, want, rtol=2e-15, atol=0.0)
 
 
 def test_offset_power_sums_against_brute_force():
@@ -420,8 +422,8 @@ def test_offset_power_sums_against_the_pair_loop(shape, support):
 @pytest.mark.parametrize("run, block", [(1, 1), (2, 5), (3, 16), (7, 40)])
 def test_offset_power_sums_in_small_tiles_against_the_pair_loop(monkeypatch, run, block):
     # tiles of one row, short last bands and offsets split over several tiles
-    monkeypatch.setattr(agf.norms, "_RUN", run)
-    monkeypatch.setattr(agf.norms, "_BLOCK", block)
+    monkeypatch.setattr(agf.moduli, "_RUN", run)
+    monkeypatch.setattr(agf.moduli, "_BLOCK", block)
     for shape in [(2, 9), (5, 7), (7, 5), (3, 4, 5)]:
         vals = _with_zero_regions(shape, "sparse", 7 * run + block)
         (want,) = _pair_loop_sums(vals, (1.5,))
@@ -441,16 +443,15 @@ def test_offset_power_sums_on_integer_grids(data, p, shape):
 
 @pytest.mark.parametrize("shape", [(5, 7), (6, 2), (3, 4, 5), (2, 3, 40)])
 def test_zero_lead_offset_sums_keep_the_bits_of_the_diagonal_sums(shape):
-    # only the nonzero leading offsets take the pairwise pass
+    # the zero leading offset pairs the lines with themselves, as the shift-power profile does
     vals = np.random.default_rng(len(shape)).uniform(size=shape)
     size = shape[-1]
     lines = vals.reshape(-1, size)
-    padded = np.concatenate([lines, np.zeros(lines.shape)], axis=1)
     for p in (1.0, 1.5, 2.0):
         offs, sums = _offset_power_sums(vals, p)
         zero_lead = ~np.any(offs[:, :-1], axis=1)
         assert offs[zero_lead, -1].tolist() == list(range(1, size))
-        assert sums[zero_lead].tolist() == _diagonal_power_sums(padded, lines, p).tolist()
+        assert sums[zero_lead].tolist() == _pair_power_sums(lines, lines, p).tolist()
 
 # --- Besov panels in one pass against the per-segment loop ---------------------
 

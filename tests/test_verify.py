@@ -313,6 +313,48 @@ def test_zero_members_reject_a_bad_p_like_nonzero_members(shape, cells, p):
     reps = verify_rearrangement_modulus(zero, 1.0, [0.25]) + verify_modulus_lemmas(zero, 1.0, [0.25])
     assert reps and all(r.degenerate for r in reps)
 
+
+_P_VERIFIERS = {
+    "verify_axis_decrement": lambda m, p: verify_axis_decrement(m, p, [2.0], [0.25]),
+    "verify_fractional_sobolev": lambda m, p: verify_fractional_sobolev(m, p, 0.5),
+    "verify_lipschitz_endpoint": lambda m, p: [verify_lipschitz_endpoint(m, p)],
+}
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan])
+@pytest.mark.parametrize("name", sorted(_P_VERIFIERS))
+def test_zero_members_reject_a_bad_p_in_every_verifier(name, p):
+    f = iterated_rearrangement(make_grid_function([[2.0, 1.0], [1.0, 0.5]], (0.25, 0.25)), (0, 1))
+    zero = f.with_values(np.zeros(f.shape))
+    for g in (f, zero):
+        with pytest.raises(ParameterError, match="p must be >= 1"):
+            _P_VERIFIERS[name](Member(g), p)
+    reps = _P_VERIFIERS[name](Member(zero), 1.0)
+    assert reps and all(r.degenerate for r in reps)
+
+
+def test_axis_decrement_rejects_a_bad_mu_or_p():
+    f = iterated_rearrangement(make_grid_function([[2.0, 1.0], [1.0, 0.0]], (0.5, 0.5)), (0, 1))
+    for mu, p in [(math.nan, 1.0), (1.0, 1.0), (2.0, 0.5), (2.0, math.nan)]:
+        with pytest.raises(ParameterError):
+            axis_decrement_integral(f, 0, mu, [0.5], p)
+        for g in (f, f.with_values(np.zeros(f.shape))):
+            with pytest.raises(ParameterError):
+                verify_axis_decrement(Member(g), p, [2.0, mu], [0.5])
+
+
+def test_box_operator_rejects_a_bad_r_or_a():
+    phi = iterated_rearrangement(make_grid_function([[2.0, 1.0], [1.0, 0.5]], (0.5, 0.5)), (0, 1))
+    bad = [(math.nan, 0.5), (0.5, 0.5), (1.0, math.nan), (1.0, -1.0), (2.0, -2.0)]
+    for r, a in bad:
+        with pytest.raises(ParameterError):
+            box_operator_weighted_integral(Member(phi), r, a)
+        # a zero member takes the degenerate shortcut, which must not skip the check
+        for g in (phi, phi.with_values(np.zeros(phi.shape))):
+            with pytest.raises(ParameterError):
+                verify_box_operator(Member(g), [1.0, r], [0.5, a])
+
+
 def test_box_operator_weighted_integral_indicator_oracle():
     ind = make_grid_function([1.0], 1.0)
     # T(chi_(0,1])(x) = 1 for x <= 1, 2/x - 1 for 1 <= x <= 2, 0 beyond
