@@ -70,9 +70,20 @@ def calibrate_from_reports(reports: list[InequalityReport], corpus_hash: str,
     return BudgetFile(corpus_hash, margin, max_ratios, budgets)
 
 
-def save_budgets(bf: BudgetFile, path, force: bool = False) -> None:
+def _check_budget_path(path, force: bool) -> None:
+    """Raise ``ValidationError`` unless a budget file can be written at path:
+    its directory exists, path is not a directory, and force is set if it exists."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValidationError(f"budget directory {folder} does not exist")
+    if os.path.isdir(path):
+        raise ValidationError(f"budget path {path} is a directory")
     if os.path.exists(path) and not force:
         raise ValidationError(f"budget file {path} exists; pass force to overwrite")
+
+
+def save_budgets(bf: BudgetFile, path, force: bool = False) -> None:
+    _check_budget_path(path, force)
     payload = {
         "corpus_hash": bf.corpus_hash,
         "margin": bf.margin,
@@ -85,11 +96,35 @@ def save_budgets(bf: BudgetFile, path, force: bool = False) -> None:
 
 
 def load_budgets(path) -> BudgetFile:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """The budget file at path.
+
+    A directory, a file that is not JSON, a JSON value that is not an object,
+    a missing key, or a margin, max ratio or budget that is not a finite
+    number is a ``ValidationError`` naming the path.
+    """
+    if os.path.isdir(path):
+        raise ValidationError(f"budget file {path} is a directory")
     try:
-        return BudgetFile(payload["corpus_hash"], float(payload["margin"]),
-                          {k: float(v) for k, v in payload["max_ratios"].items()},
-                          {k: float(v) for k, v in payload["budgets"].items()})
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValidationError(f"budget file {path} is not JSON: {exc}") from None
+
+    def number(value, name):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ValidationError(f"malformed budget file {path}: {name} is not a finite number")
+        return float(value)
+
+    def table(name):
+        if not isinstance(payload[name], dict):
+            raise ValidationError(f"malformed budget file {path}: {name} is not an object")
+        return {k: number(v, f"{name}[{k!r}]") for k, v in payload[name].items()}
+
+    if not isinstance(payload, dict):
+        raise ValidationError(f"malformed budget file {path}: not a JSON object")
+    try:
+        return BudgetFile(payload["corpus_hash"], number(payload["margin"], "margin"),
+                          table("max_ratios"), table("budgets"))
     except KeyError as exc:
         raise ValidationError(f"malformed budget file {path}: missing {exc}") from None

@@ -22,8 +22,8 @@ import os
 import sys
 from typing import NamedTuple
 
-from .calibration import (DEFAULT_MARGIN, calibrate_from_reports, load_budgets,
-                          save_budgets)
+from .calibration import (DEFAULT_MARGIN, _check_budget_path, calibrate_from_reports,
+                          load_budgets, save_budgets)
 from .corpus import corpus_hash
 from .errors import AgfError
 from .experiments import (EXPERIMENTS, ExperimentResult, default_corpus,
@@ -228,7 +228,18 @@ def _common_opts(args, cfg) -> dict:
     return {}
 
 
+def _check_out(path) -> None:
+    """Raise ``AgfError`` before any work when ``--out`` cannot be a directory:
+    it, or its nearest ancestor that exists, is not one."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise AgfError(f"--out {path}: {head} is not a directory")
+
+
 def cmd_corpus(args, cfg) -> int:
+    _check_out(args.out)
     corpus = default_corpus(args.seed)
     os.makedirs(args.out, exist_ok=True)
     rows = []
@@ -251,6 +262,7 @@ _BUDGET_EXPERIMENTS = ("rearr-estimate", "aniso-estimate", "embedding",
 
 
 def cmd_calibrate(args, cfg) -> int:
+    _check_budget_path(args.budget, args.force)
     corpus = default_corpus(args.seed)
     threads = _threads(args, cfg)
     opts = _common_opts(args, cfg)
@@ -266,6 +278,7 @@ def cmd_calibrate(args, cfg) -> int:
 
 
 def cmd_run(args, cfg) -> int:
+    _check_out(args.out)
     corpus = default_corpus(args.seed)
     budgets = None
     needs_budget = args.experiment == "all" or args.experiment in _BUDGET_EXPERIMENTS

@@ -13,9 +13,10 @@ cell sets per lattice point.
 
 The box average T phi(x) over [x/2, x] is separable: T phi(x) =
 sum_c phi_c prod_k W_k(x_k, c_k), where the 1-D box matrix W_k(x, c) is the
-overlap of cell c with [x/2, x] divided by x/2.  On a tensor grid with m_k
-points and s_k cells per axis it costs one (m_k x s_k) matrix per axis and
-one tensordot per axis, instead of 2^n signed cumulative integrals.
+overlap of cell c with [x/2, x] divided by x/2.  A row of W_k is one range of
+cells, kept as its two end weights and one interior weight (``BoxPanels``),
+so m_k points on an axis of s_k cells cost O(m_k + s_k) index work, never
+an m_k x s_k matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -363,41 +365,159 @@ def build_gauge(f: GridFunction, order, t_values=None) -> AnisotropicGauge:
 
 # --- dyadic box averaging --------------------------------------------------------
 
-def _cumulative_weights(coords: np.ndarray, nk: int, c: float) -> np.ndarray:
-    """Overlap of each cell [j c, (j+1) c) with [0, y] for each y in coords."""
-    j = np.arange(nk, dtype=np.float64) * c
-    return np.clip(coords[:, None] - j[None, :], 0.0, c)
+class BoxPanels(NamedTuple):
+    """The rows of the box matrix W of one axis at rising points x, kept as parts.
+
+    W(x, j) is the overlap of cell [j c, (j+1) c) with [x/2, x] over the box
+    side x/2.  Its row at x is ``lo_weight`` at the cell that holds x/2,
+    ``hi_weight`` at the cell that holds x, and ``mid_weight`` = 2c/x at every
+    cell strictly between.  Along a run of points those two cells stay the
+    same, so ``runs`` holds the first point of each run and ``lo`` and ``hi``
+    its two cells; both rise from run to run.  The index s, the cell count,
+    stands for the cells past the grid, which get no weight.  ``nodes`` (the
+    square roots of the points) and ``half_weights`` carry the Gauss rule of
+    ``verify.box_panels``; rows at plain points leave them None.
+    """
+
+    nodes: np.ndarray | None
+    half_weights: np.ndarray | None
+    lo_weight: np.ndarray
+    hi_weight: np.ndarray
+    mid_weight: np.ndarray
+    runs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def weights(self, a: float) -> np.ndarray:
+        """Quadrature weights in x for the weight x^a (Jacobian 2 s included)."""
+        w = self.nodes ** (2.0 * a + 1.0)
+        w *= self.half_weights
+        w *= 2.0
+        return w
 
 
-def cumulative_integral(phi: GridFunction, points: list[np.ndarray]) -> np.ndarray:
-    """Exact integral of phi over [0, y] for all y on the tensor grid of points."""
-    if any(o != 0.0 for o in phi.origin):
-        raise PreconditionError("box averaging requires the grid anchored at the origin")
-    out = phi.values
-    for k in range(phi.dims):
-        w = _cumulative_weights(np.asarray(points[k], dtype=np.float64),
-                                phi.shape[k], phi.cell_sizes[k])
-        out = np.tensordot(w, out, axes=([1], [k]))
-        out = np.moveaxis(out, 0, k)
+def _axis_panels(x: np.ndarray, s: int, c: float, nodes=None, half_weights=None) -> BoxPanels:
+    """The ``BoxPanels`` of an axis of s cells of size c at rising points x > 0.
+
+    The end weights are bit for bit those of the dense matrix in
+    ``tests/box_oracle.py``; x is taken as given, not as a square, so a point
+    on a cell edge finds that edge exactly.  The interior weight is c/(x/2)
+    rounded once, where the oracle takes each cell's width as the difference
+    of its rounded edges, so the two differ by a few ulps of the edges.
+    """
+    edges = np.arange(s + 1, dtype=np.float64) * c
+    half = x / 2.0
+    lo = np.searchsorted(edges, half, side="right") - 1
+    hi = np.searchsorted(edges, x, side="right") - 1
+    runs = np.flatnonzero((np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0))
+    lo_w = edges[np.minimum(lo + 1, s)]  # the upper edge of cell lo
+    np.minimum(lo_w, x, out=lo_w)
+    lo_w -= half
+    lo_w[lo >= s] = 0.0
+    lo_w /= half
+    hi_w = edges[hi]
+    np.subtract(x, hi_w, out=hi_w)
+    hi_w[(hi <= lo) | (hi >= s)] = 0.0
+    hi_w /= half
+    return BoxPanels(nodes, half_weights, lo_w, hi_w, np.divide(c, half, out=half),
+                     runs, lo[runs], hi[runs])
+
+
+def _range_sums(values: np.ndarray, starts, stops) -> np.ndarray:
+    """``values[starts[q]:stops[q]].sum(axis=0)`` for each q, 0 where the slice is empty.
+
+    One ``np.add.reduceat`` adds each slice on its own, so no sum is taken
+    as a difference of prefix sums, which would cancel.
+    """
+    padded = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
+    idx = np.minimum(np.column_stack([starts, stops]).ravel(), len(values))
+    out = np.add.reduceat(padded, idx, axis=0)[::2]
+    out[np.asarray(stops) <= np.asarray(starts)] = 0.0
     return out
 
 
-def box_weights(coords, nk: int, c: float) -> np.ndarray:
-    """The 1-D box-average matrix W(x, j) of one axis, shape (len(coords), nk).
+def _inside(pn: BoxPanels, s: int):
+    """Per cell j, the block [first[j], stop[j]) of the runs with lo < j < hi.
 
-    W(x, j) is the overlap of cell [j c, (j+1) c) with [x/2, x], divided by
-    the box side x/2, so that (W @ v)(x) is the average over [x/2, x] of the
-    step function with cell values v.  Coordinates must be positive.
+    Both indices rise from run to run, so the runs with hi > j begin at
+    ``first[j]`` and those with lo < j end at ``stop[j]``.
     """
-    x = np.asarray(coords, dtype=np.float64)
-    if np.any(x <= 0):
-        raise ParameterError("box average requires strictly positive coordinates")
-    lo = np.maximum((x / 2.0)[:, None], np.arange(nk, dtype=np.float64) * c)
-    w = np.minimum(x[:, None], np.arange(1, nk + 1, dtype=np.float64) * c)
-    w -= lo
-    np.maximum(w, 0.0, out=w)
-    w /= (x / 2.0)[:, None]
-    return w
+    cells = np.arange(s)
+    return np.searchsorted(pn.hi, cells, side="right"), np.searchsorted(pn.lo, cells)
+
+
+def _cell_sums(pn: BoxPanels, s: int, lo_sums, mid_sums, hi_sums, inside) -> np.ndarray:
+    """Per cell, the run sums of the runs that hold it at lo, inside or at hi.
+
+    The end sums are scattered to their cells; each cell's interior sum is
+    one slice sum over the block of runs ``inside`` gives for it.
+    """
+    return ((np.bincount(pn.lo, lo_sums, s + 1) + np.bincount(pn.hi, hi_sums, s + 1))[:s]
+            + _range_sums(mid_sums, *inside))
+
+
+def _box_vector(pn: BoxPanels, w: np.ndarray, s: int) -> np.ndarray:
+    """g = W^T w for the s cells of the axis, in O(m + s) index work."""
+    return _cell_sums(pn, s, *(np.add.reduceat(w * u, pn.runs)
+                               for u in (pn.lo_weight, pn.mid_weight, pn.hi_weight)),
+                      _inside(pn, s))
+
+
+def _box_gram(pn: BoxPanels, w: np.ndarray, s: int) -> np.ndarray:
+    """G = W^T diag(w) W for the s cells of the axis, from per-run node sums.
+
+    A row of W is lo_weight at lo, mid_weight inside (lo, hi) and hi_weight
+    at hi.  The diagonal adds each weight squared, as g adds the weights.
+    Above it, i < j: the runs with lo = i or i inside that hold j inside
+    are those from first[j] on among the runs below stop[i] or with lo = i,
+    so the entries of row i are sums from the far end of one row of run
+    sums; the runs with hi = j that hold i inside are those below stop[i],
+    a sum from the near end of row j; and i = lo, j = hi is one run sum.
+    No sum is a difference.
+    """
+    def run_sums(u, v):
+        return np.add.reduceat(w * u * v, pn.runs)
+
+    lw, mw, hw = pn.lo_weight, pn.mid_weight, pn.hi_weight
+    first, stop = inside = _inside(pn, s)
+    q = np.arange(pn.runs.size)
+    inner = run_sums(mw, mw)
+    # each run has its own (lo, hi), so no index below repeats
+    tail = np.zeros((s + 1, q.size + 1))
+    tail[:s, :-1] = np.where(q < stop[:, None], inner, 0.0)
+    tail[pn.lo, q] += run_sums(lw, mw)
+    tail = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
+    head = np.zeros((s + 1, q.size + 1))
+    head[pn.hi, q + 1] = run_sums(hw, mw)
+    head = np.cumsum(head, axis=1)
+    ends = np.zeros((s + 1, s + 1))
+    ends[pn.lo, pn.hi] = run_sums(lw, hw)
+    upper = np.triu(tail[:s, first] + head[:s, stop].T + ends[:s, :s], 1)
+    diag = _cell_sums(pn, s, run_sums(lw, lw), inner, run_sums(hw, hw), inside)
+    return upper + upper.T + np.diag(diag)
+
+
+def _box_along(pn: BoxPanels, values: np.ndarray, axis: int, start: int = 0,
+               stop: int | None = None) -> np.ndarray:
+    """``W[start:stop] @ values`` along one axis: T at those points, from range sums.
+
+    The axis's cells are replaced by the points.  Each run's two end cells
+    and its interior slice sum are read once and repeated over its points.
+    """
+    v = np.moveaxis(values, axis, 0)
+    s = v.shape[0]
+    flat = np.concatenate([v.reshape(s, -1), np.zeros((1, v[0].size))])  # row s: past the grid
+    m = pn.lo_weight.size
+    stop = m if stop is None else min(stop, m)
+    counts = np.diff(np.clip(np.append(pn.runs, m), start, stop))
+    out = 0.0
+    for u, rows in ((pn.lo_weight, flat[pn.lo]), (pn.hi_weight, flat[pn.hi]),
+                    (pn.mid_weight, _range_sums(flat[:s], pn.lo + 1, pn.hi))):
+        part = np.repeat(rows, counts, axis=0)
+        part *= u[start:stop, None]
+        out += part
+        del part  # one part alive at a time
+    return np.moveaxis(out.reshape(out.shape[:1] + v.shape[1:]), 0, axis)
 
 
 def contract_axes(values: np.ndarray, mats) -> np.ndarray:
@@ -408,18 +528,38 @@ def contract_axes(values: np.ndarray, mats) -> np.ndarray:
     return out
 
 
+def cumulative_integral(phi: GridFunction, points: list[np.ndarray]) -> np.ndarray:
+    """Exact integral of phi over [0, y] for all y on the tensor grid of points.
+
+    Axis k contributes the overlaps of its cells [j c, (j+1) c) with [0, y_k].
+    """
+    if any(o != 0.0 for o in phi.origin):
+        raise PreconditionError("box averaging requires the grid anchored at the origin")
+    return contract_axes(phi.values, [
+        np.clip(np.asarray(p, dtype=np.float64)[:, None] - np.arange(s) * c, 0.0, c)
+        for p, s, c in zip(points, phi.shape, phi.cell_sizes)])
+
+
 def box_average_on_grid(phi: GridFunction, points: list[np.ndarray]) -> np.ndarray:
     """Exact dyadic-box average T phi at all points of a tensor grid.
 
     T phi is separable: T phi(x) = sum_c phi_c prod_k W_k(x_k, c_k), with W_k
-    the 1-D box matrix of axis k (``box_weights``).  The tensor grid costs one
-    tensordot per axis, about sum_k (m_0 ... m_k)(s_k ... s_(n-1)) products for
-    m_k points and s_k cells on axis k.
+    the box matrix of axis k (``BoxPanels``).  One ``_box_along`` per axis
+    applies the rows of W_k at the points of axis k, sorted for
+    ``_axis_panels`` and put back in their order, in O(m_k + s_k) index work
+    for m_k points and s_k cells; no m_k x s_k matrix is formed.
     """
-    mats = [box_weights(p, s, c) for p, s, c in zip(points, phi.shape, phi.cell_sizes)]
+    xs = [np.asarray(p, dtype=np.float64) for p in points]
+    if not all(np.all(x > 0) for x in xs):
+        raise ParameterError("box average requires strictly positive coordinates")
     if any(o != 0.0 for o in phi.origin):
         raise PreconditionError("box averaging requires the grid anchored at the origin")
-    return contract_axes(phi.values, mats)
+    out = phi.values
+    for k, (x, s, c) in enumerate(zip(xs, phi.shape, phi.cell_sizes)):
+        order = np.argsort(x, kind="stable")
+        out = _box_along(_axis_panels(x[order], s, c), out, k)
+        out = np.take(out, np.argsort(order), axis=k)
+    return out
 
 
 def box_average(phi: GridFunction, x) -> float:

@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, ResourceError
-from .geometry import AnisotropicGauge, box_average_field, build_gauge, contract_axes
+from .geometry import (AnisotropicGauge, BoxPanels, _axis_panels, _box_along, _box_gram,
+                       _box_vector, box_average_field, build_gauge, contract_axes)
 from .grid import GridFunction, make_grid_function
 from .moduli import _BLOCK, ModulusCurve, interval_curve_1d, modulus_curve, steklov_distances
 from .norms import (
@@ -812,69 +813,12 @@ _BOX_NODES = 16
 _BOX_CHUNK = 1 << 16  # float64 values of the Gauss tensor grid held at once
 
 
-class BoxPanels(NamedTuple):
-    """The Gauss panels of one axis for the weighted box-operator integral.
-
-    Panels split [0, 2 * extent] at every cell edge and doubled cell edge,
-    where the box average has kinks, under the substitution x = s^2.
-    ``nodes`` holds the Gauss nodes in s and ``half_weights`` their Gauss
-    weights times the panel half-width.  The box matrix W of the axis at
-    x = nodes^2 is kept as its parts (``_axis_panels``): the row of W at x is
-    ``lo_weight`` at the cell that holds x/2, ``hi_weight`` at the cell that
-    holds x, and ``mid_weight`` = 2c/x at every cell strictly between them.
-    Those two cells are the same along a run of nodes, so ``runs`` holds the
-    first node of each run and ``lo`` and ``hi`` its two cells; both rise
-    from run to run.  A cell index equal to the axis's cell count stands for
-    the cells past the grid, which get no weight.
-    """
-
-    nodes: np.ndarray
-    half_weights: np.ndarray
-    lo_weight: np.ndarray
-    hi_weight: np.ndarray
-    mid_weight: np.ndarray
-    runs: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def weights(self, a: float) -> np.ndarray:
-        """Quadrature weights in x for the weight x^a (Jacobian 2 s included)."""
-        w = self.nodes ** (2.0 * a + 1.0)
-        w *= self.half_weights
-        w *= 2.0
-        return w
-
-
-def _axis_panels(sn: np.ndarray, hw: np.ndarray, s: int, c: float) -> BoxPanels:
-    """The ``BoxPanels`` of an axis of s cells of size c at rising nodes sn > 0.
-
-    At x = sn^2 the row of ``box_weights(x, s, c)`` is lo_weight at the cell
-    that holds x/2, mid_weight = 2c/x on the cells strictly between, and
-    hi_weight at the cell that holds x.  The end weights carry the bits of
-    ``box_weights``.  The interior weight is c/(x/2) rounded once, where
-    ``box_weights`` takes each cell's width as the difference of its rounded
-    edges, so the two differ by a few ulps of the edges.
-    """
-    x = sn**2
-    edges = np.arange(s + 1, dtype=np.float64) * c
-    half = x / 2.0
-    lo = np.searchsorted(edges, half, side="right") - 1
-    hi = np.searchsorted(edges, x, side="right") - 1
-    runs = np.flatnonzero((np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0))
-    lo_w = np.append(edges[1:], np.inf)[lo]  # the upper edge of cell lo
-    np.minimum(lo_w, x, out=lo_w)
-    lo_w -= half
-    lo_w[lo >= s] = 0.0
-    lo_w /= half
-    hi_w = np.subtract(x, edges[hi], out=x)
-    hi_w[(hi <= lo) | (hi >= s)] = 0.0
-    hi_w /= half
-    return BoxPanels(sn, hw, lo_w, hi_w, np.divide(c, half, out=half), runs, lo[runs], hi[runs])
-
-
 def box_panels(phi: GridFunction) -> list[BoxPanels]:
     """One ``BoxPanels`` per axis of phi; they depend on its shape and cells only.
 
+    Panels split [0, 2 * extent] at every cell edge and doubled cell edge,
+    where the box average has kinks, under the substitution x = s^2; the
+    rows of the box matrix are built at x = nodes^2, computed once here.
     An axis of s cells has about 1.5 s panels and m = 24 s Gauss nodes.  Its
     panels hold five arrays of m values and three of one value per run,
     never the m x s box matrix.
@@ -891,105 +835,8 @@ def box_panels(phi: GridFunction) -> list[BoxPanels]:
         half = 0.5 * (se[1:] - se[:-1])
         sn = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
         hw = (half[:, None] * gw[None, :]).ravel()
-        out.append(_axis_panels(sn, hw, s, c))
+        out.append(_axis_panels(sn**2, s, c, sn, hw))
     return out
-
-
-def _range_sums(values: np.ndarray, starts, stops) -> np.ndarray:
-    """``values[starts[q]:stops[q]].sum(axis=0)`` for each q, 0 where the slice is empty.
-
-    One ``np.add.reduceat`` adds each slice on its own, so no sum is taken
-    as a difference of prefix sums, which would cancel.
-    """
-    padded = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
-    idx = np.minimum(np.column_stack([starts, stops]).ravel(), len(values))
-    out = np.add.reduceat(padded, idx, axis=0)[::2]
-    out[np.asarray(stops) <= np.asarray(starts)] = 0.0
-    return out
-
-
-def _inside(pn: BoxPanels, s: int):
-    """Per cell j, the block [first[j], stop[j]) of the runs with lo < j < hi.
-
-    Both indices rise from run to run, so the runs with hi > j begin at
-    ``first[j]`` and those with lo < j end at ``stop[j]``.
-    """
-    cells = np.arange(s)
-    return np.searchsorted(pn.hi, cells, side="right"), np.searchsorted(pn.lo, cells)
-
-
-def _cell_sums(pn: BoxPanels, s: int, lo_sums, mid_sums, hi_sums, inside) -> np.ndarray:
-    """Per cell, the run sums of the runs that hold it at lo, inside or at hi.
-
-    The end sums are scattered to their cells; each cell's interior sum is
-    one slice sum over the block of runs ``inside`` gives for it.
-    """
-    return ((np.bincount(pn.lo, lo_sums, s + 1) + np.bincount(pn.hi, hi_sums, s + 1))[:s]
-            + _range_sums(mid_sums, *inside))
-
-
-def _box_vector(pn: BoxPanels, w: np.ndarray, s: int) -> np.ndarray:
-    """g = W^T w for the s cells of the axis, in O(m + s) index work."""
-    return _cell_sums(pn, s, *(np.add.reduceat(w * u, pn.runs)
-                               for u in (pn.lo_weight, pn.mid_weight, pn.hi_weight)),
-                      _inside(pn, s))
-
-
-def _box_gram(pn: BoxPanels, w: np.ndarray, s: int) -> np.ndarray:
-    """G = W^T diag(w) W for the s cells of the axis, from per-run node sums.
-
-    A row of W is lo_weight at lo, mid_weight inside (lo, hi) and hi_weight
-    at hi.  The diagonal adds each weight squared, as g adds the weights.
-    Above it, i < j: the runs with lo = i or i inside that hold j inside
-    are those from first[j] on among the runs below stop[i] or with lo = i,
-    so the entries of row i are sums from the far end of one row of run
-    sums; the runs with hi = j that hold i inside are those below stop[i],
-    a sum from the near end of row j; and i = lo, j = hi is one run sum.
-    No sum is a difference.
-    """
-    def run_sums(u, v):
-        return np.add.reduceat(w * u * v, pn.runs)
-
-    lw, mw, hw = pn.lo_weight, pn.mid_weight, pn.hi_weight
-    first, stop = inside = _inside(pn, s)
-    q = np.arange(pn.runs.size)
-    inner = run_sums(mw, mw)
-    # each run has its own (lo, hi), so no index below repeats
-    tail = np.zeros((s + 1, q.size + 1))
-    tail[:s, :-1] = np.where(q < stop[:, None], inner, 0.0)
-    tail[pn.lo, q] += run_sums(lw, mw)
-    tail = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
-    head = np.zeros((s + 1, q.size + 1))
-    head[pn.hi, q + 1] = run_sums(hw, mw)
-    head = np.cumsum(head, axis=1)
-    ends = np.zeros((s + 1, s + 1))
-    ends[pn.lo, pn.hi] = run_sums(lw, hw)
-    upper = np.triu(tail[:s, first] + head[:s, stop].T + ends[:s, :s], 1)
-    diag = _cell_sums(pn, s, run_sums(lw, lw), inner, run_sums(hw, hw), inside)
-    return upper + upper.T + np.diag(diag)
-
-
-def _box_along(pn: BoxPanels, values: np.ndarray, axis: int, start: int = 0,
-               stop: int | None = None) -> np.ndarray:
-    """``W[start:stop] @ values`` along one axis: T at those nodes, from range sums.
-
-    The axis's cells are replaced by the nodes.  Each run's two end cells
-    and its interior slice sum are read once and repeated over its nodes.
-    """
-    v = np.moveaxis(values, axis, 0)
-    s = v.shape[0]
-    flat = np.concatenate([v.reshape(s, -1), np.zeros((1, v[0].size))])  # row s: past the grid
-    m = pn.nodes.size
-    stop = m if stop is None else min(stop, m)
-    counts = np.diff(np.clip(np.append(pn.runs, m), start, stop))
-    out = 0.0
-    for u, rows in ((pn.lo_weight, flat[pn.lo]), (pn.hi_weight, flat[pn.hi]),
-                    (pn.mid_weight, _range_sums(flat[:s], pn.lo + 1, pn.hi))):
-        part = np.repeat(rows, counts, axis=0)
-        part *= u[start:stop, None]
-        out += part
-        del part  # one part alive at a time
-    return np.moveaxis(out.reshape((-1,) + v.shape[1:]), 0, axis)
 
 
 def box_operator_weighted_integral(m: Member, r: float, a: float) -> float:

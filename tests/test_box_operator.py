@@ -11,9 +11,10 @@ import pytest
 import agf.verify
 from agf import (CorpusSpec, Member, ParameterError, PreconditionError, default_corpus,
                  generate_corpus, make_grid_function, run_experiment)
-from agf.geometry import box_average_on_grid, box_weights, cumulative_integral
+from agf.geometry import box_average, box_average_on_grid, contract_axes, cumulative_integral
 from agf.norms import _leggauss
 from agf.verify import box_operator_weighted_integral, box_panels
+from box_oracle import box_weights
 
 _CORPUS = dict(default_corpus(20240901))
 _LOW_DIM = [fid for fid, f in _CORPUS.items() if f.dims < 3]
@@ -50,19 +51,31 @@ def test_box_average_on_grid_against_mask_oracle(shape, cells):
         points.append(np.concatenate([
             rng.uniform(0, ext, 5) + 1e-3,               # inside the grid
             np.arange(1, s + 1) * c,                     # on cell edges
-            np.arange(1, s + 1) * (2.0 * c),             # on doubled cell edges
+            np.arange(1, s + 1) * (2.0 * c),             # x/2 on a cell edge
             [1.5 * ext, 2.0 * ext, 2.5 * ext, 7.0 * ext],  # up to and beyond 2x the extent
         ]))
     got = box_average_on_grid(phi, points)
     want = _mask_box_average(phi, points)
     assert got.shape == tuple(p.size for p in points)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+    # the points are unsorted and repeat; the dense matrix takes them as given
+    dense = contract_axes(phi.values, [box_weights(p, s, c) for p, s, c in zip(points, shape, cells)])
+    np.testing.assert_allclose(got, dense, rtol=1e-13, atol=0)
     beyond = [p > 2.0 * s * c for p, s, c in zip(points, shape, cells)]
     # the box [x/2, x] misses the grid once some x_k/2 is past its extent
     for k in range(len(shape)):
         idx = [slice(None)] * len(shape)
         idx[k] = beyond[k]
         assert np.all(got[tuple(idx)] == 0.0)
+
+
+def test_box_average_on_grid_at_infinity_and_on_an_empty_axis():
+    phi = make_grid_function([[1.0, 2.0], [0.5, 0.25]], (0.5, 0.5))
+    # the box [x/2, x] at x = inf misses the grid
+    got = box_average_on_grid(phi, [np.array([np.inf, 1.0]), np.array([0.5, np.inf])])
+    assert np.array_equal(got, [[0.0, 0.0], [box_average(phi, [1.0, 0.5]), 0.0]])
+    assert box_average_on_grid(phi, [np.array([]), np.array([0.5, 1.0])]).shape == (0, 2)
+    assert box_average_on_grid(phi, [np.array([0.5]), np.array([])]).shape == (1, 0)
 
 
 def test_box_weights_rows_are_averages():
@@ -234,3 +247,10 @@ def test_fractional_exponent_memory_stays_below_one_field():
         tracemalloc.stop()
     assert math.isfinite(got) and got > 0.0
     assert peak < 8 * points
+
+
+def test_box_average_rejects_a_nan_coordinate():
+    # the rows of a NaN point would read as past the grid, a silent 0
+    phi = make_grid_function([1.0, 2.0], 0.5)
+    with pytest.raises(ParameterError):
+        box_average_on_grid(phi, [np.array([0.5, np.nan])])

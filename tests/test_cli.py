@@ -95,6 +95,72 @@ def test_calibrate_refuses_overwrite_without_force(tmp_path):
     assert main(["calibrate", "--budget", str(path), "--force"]) == 0
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command did work before its arguments were checked")
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "a-directory", "exists-without-force"])
+def test_calibrate_checks_the_budget_path_before_the_pass(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.setattr(agf.cli, "run_experiment", _no_work)
+    existing = tmp_path / "budgets.json"
+    existing.write_text("{}\n")
+    path = {"missing-directory": tmp_path / "nodir" / "budgets.json",
+            "a-directory": tmp_path,
+            "exists-without-force": existing}[case]
+    assert main(["calibrate", "--budget", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert existing.read_text() == "{}\n"
+    assert not (tmp_path / "nodir").exists()
+
+
+def _edited_budgets(edit) -> bytes:
+    """The committed budget file after ``edit(payload)``."""
+    with open(_COMMITTED_BUDGETS) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"{", id="not-json"),
+    pytest.param(b"\xff\xfe{", id="not-utf8"),
+    pytest.param(b"[1.0]", id="a-list"),
+    pytest.param(None, id="a-directory"),
+    pytest.param(_edited_budgets(lambda p: p.update(margin="2")), id="margin-a-string"),
+    pytest.param(_edited_budgets(lambda p: p.update(margin=math.nan)), id="margin-nan"),
+    pytest.param(_edited_budgets(lambda p: p["max_ratios"].update(bbm=None)),
+                 id="max-ratio-null"),
+    pytest.param(_edited_budgets(lambda p: p["budgets"].update({"rearr-estimate": True})),
+                 id="budget-a-bool"),
+    pytest.param(_edited_budgets(lambda p: p.update(budgets=[1.0])), id="budgets-a-list"),
+    pytest.param(_edited_budgets(lambda p: p.pop("corpus_hash")), id="missing-key"),
+])
+def test_malformed_budget_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "budgets"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ValidationError, match=re.escape(str(path))):
+        load_budgets(path)
+    assert main(["run", "limit-sweep", "--out", str(tmp_path / "out"),
+                 "--budget", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "limit-sweep"], ["corpus"]])
+@pytest.mark.parametrize("out", ["file", "file/below"])
+def test_out_that_cannot_be_a_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                argv, out):
+    monkeypatch.setattr(agf.cli, "default_corpus", _no_work)
+    (tmp_path / "file").write_text("kept\n")
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_run_with_calibrated_budgets_passes(tmp_path, budget_file):
     out = tmp_path / "out"
     code = main(["run", "rearr-estimate", "--out", str(out),
