@@ -7,8 +7,10 @@ Subcommands:
 * ``run``        run one experiment (or ``all``) and emit CSV reports
 * ``report``     summarize previously written reports
 
-Config files are flat ``key = value`` text; repeated keys accumulate into
-lists; ``#`` starts a comment.  Command-line flags override config values.
+Each subcommand registers only the flags it reads.  Config files are flat
+``key = value`` text; repeated keys accumulate into lists; ``#`` starts a
+comment.  A setting a subcommand reads is its flag, else its config key,
+else its default (``_SETTINGS``).
 Exit status: 0 on success, 1 if any verdict is fail, 2 on usage errors.
 """
 
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from typing import NamedTuple
 
 from .calibration import (DEFAULT_MARGIN, _check_budget_path, calibrate_from_reports,
@@ -31,6 +34,7 @@ from .experiments import (EXPERIMENTS, ExperimentResult, default_corpus,
 from .grid import save_agf
 
 _DEFAULT_SEED = 20240901
+_DEFAULT_BUDGET = os.path.join("calibration", "budgets.json")
 
 
 def parse_config(path) -> dict[str, list[str]]:
@@ -46,13 +50,6 @@ def parse_config(path) -> dict[str, list[str]]:
             key, _, val = line.partition("=")
             out.setdefault(key.strip(), []).append(val.strip())
     return out
-
-
-def _cfg_scalar(cfg, key, default=None):
-    vals = cfg.get(key)
-    if not vals:
-        return default
-    return vals[-1]
 
 
 def _number(kind, value, source):
@@ -71,6 +68,25 @@ def _positive(kind, value, source):
         raise AgfError(f"{source} must be {'an integer >= 1' if kind is int else 'finite and > 0'}, "
                        f"got {value!r}")
     return x
+
+
+# config key -> (parse of its last config value, default); an empty budget
+# value means the default file
+_SETTINGS = {"seed": (partial(_number, int), _DEFAULT_SEED),
+             "threads": (partial(_positive, int), 1),
+             "budget": (lambda value, source: value or _DEFAULT_BUDGET, _DEFAULT_BUDGET),
+             "m-max": (partial(_positive, int), None),
+             "margin": (partial(_positive, float), DEFAULT_MARGIN)}
+
+
+def _resolve_settings(args, cfg) -> None:
+    """Set each setting the subcommand registered and no flag gave from the
+    config, else to its default."""
+    for key, (parse, default) in _SETTINGS.items():
+        attr = key.replace("-", "_")
+        if attr in vars(args) and getattr(args, attr) is None:
+            vals = cfg.get(key)
+            setattr(args, attr, parse(vals[-1], f"config key {key}") if vals else default)
 
 
 def _fmt(x) -> str:
@@ -209,25 +225,6 @@ def _emit(outdir, result: ExperimentResult) -> str:
     return summary
 
 
-def _threads(args, cfg) -> int:
-    if args.threads is not None:
-        return args.threads
-    cfg_t = _cfg_scalar(cfg, "threads")
-    if cfg_t is not None:
-        return _positive(int, cfg_t, "config key threads")
-    env = os.environ.get("AGF_THREADS")
-    return _positive(int, env, "AGF_THREADS") if env else 1
-
-
-def _common_opts(args, cfg) -> dict:
-    if args.m_max is not None:
-        return {"m_max": args.m_max}
-    m_max = _cfg_scalar(cfg, "m-max")
-    if m_max is not None:
-        return {"m_max": _positive(int, m_max, "config key m-max")}
-    return {}
-
-
 def _check_out(path) -> None:
     """Raise ``AgfError`` before any work when ``--out`` cannot be a directory:
     it, or its nearest ancestor that exists, is not one."""
@@ -238,7 +235,7 @@ def _check_out(path) -> None:
         raise AgfError(f"--out {path}: {head} is not a directory")
 
 
-def cmd_corpus(args, cfg) -> int:
+def cmd_corpus(args) -> int:
     _check_out(args.out)
     corpus = default_corpus(args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -261,15 +258,12 @@ _BUDGET_EXPERIMENTS = ("rearr-estimate", "aniso-estimate", "embedding",
                        "limit-sweep", "bbm")
 
 
-def cmd_calibrate(args, cfg) -> int:
+def cmd_calibrate(args) -> int:
     _check_budget_path(args.budget, args.force)
     corpus = default_corpus(args.seed)
-    threads = _threads(args, cfg)
-    opts = _common_opts(args, cfg)
-    margin = _positive(float, _cfg_scalar(cfg, "margin", DEFAULT_MARGIN), "config key margin")
-    result = run_experiment(_BUDGET_EXPERIMENTS, corpus, budgets=None,
-                            threads=threads, opts=opts)
-    bf = calibrate_from_reports(result.reports, corpus_hash(corpus), margin)
+    result = run_experiment(_BUDGET_EXPERIMENTS, corpus, budgets=None, threads=args.threads,
+                            opts={} if args.m_max is None else {"m_max": args.m_max})
+    bf = calibrate_from_reports(result.reports, corpus_hash(corpus), args.margin)
     save_budgets(bf, args.budget, force=args.force)
     print(f"calibrated {len(bf.budgets)} budgets -> {args.budget}")
     for k in sorted(bf.budgets):
@@ -277,7 +271,7 @@ def cmd_calibrate(args, cfg) -> int:
     return 0
 
 
-def cmd_run(args, cfg) -> int:
+def cmd_run(args) -> int:
     _check_out(args.out)
     corpus = default_corpus(args.seed)
     budgets = None
@@ -289,10 +283,8 @@ def cmd_run(args, cfg) -> int:
         print("error: budget file required for calibrated experiments "
               "(run `agf calibrate` first)", file=sys.stderr)
         return 2
-    threads = _threads(args, cfg)
-    opts = _common_opts(args, cfg)
-    result = run_experiment(args.experiment, corpus, budgets=budgets,
-                            threads=threads, opts=opts)
+    result = run_experiment(args.experiment, corpus, budgets=budgets, threads=args.threads,
+                            opts={} if args.m_max is None else {"m_max": args.m_max})
     print(_emit(args.out, result), end="")
     # a truncated trace may have no rows in traces.csv at all
     for tr in result.traces:
@@ -306,7 +298,7 @@ def cmd_run(args, cfg) -> int:
     return 0
 
 
-def cmd_report(args, cfg) -> int:
+def cmd_report(args) -> int:
     path = os.path.join(args.out, "reports.csv")
     if not os.path.exists(path):
         print(f"error: {path} not found", file=sys.stderr)
@@ -323,33 +315,30 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="corpus seed")
-        # a bad count raises AgfError, which argparse lets through to the except below
-        p.add_argument("--threads", type=lambda v: _positive(int, v, "--threads"), default=None,
-                       help="worker threads, at least 1 (or AGF_THREADS)")
-        p.add_argument("--budget", default=None, help="budget file path")
-        p.add_argument("--m-max", dest="m_max", type=lambda v: _positive(int, v, "--m-max"),
-                       default=None, help="dyadic depth for limit experiments, at least 1")
+    # a bad count raises AgfError, which argparse lets through to the except below
+    flags = {"--out": {"default": "out", "help": "output directory"},
+             "--seed": {"type": int, "help": "corpus seed"},
+             "--threads": {"type": lambda v: _positive(int, v, "--threads"),
+                           "help": "worker threads, at least 1"},
+             "--budget": {"help": "budget file path"},
+             "--m-max": {"type": lambda v: _positive(int, v, "--m-max"),
+                         "help": "dyadic depth for limit experiments, at least 1"},
+             "--force": {"action": "store_true", "help": "overwrite an existing budget file"}}
 
-    p_corpus = sub.add_parser("corpus", help="write the committed corpus")
-    common(p_corpus)
-    p_corpus.set_defaults(func=cmd_corpus)
+    def command(name, func, help, names, **defaults):
+        p = sub.add_parser(name, help=help)
+        for flag in names.split():
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p_cal = sub.add_parser("calibrate", help="freeze inequality budgets")
-    common(p_cal)
-    p_cal.add_argument("--force", action="store_true", help="overwrite an existing budget file")
-    p_cal.set_defaults(func=cmd_calibrate)
-
-    p_run = sub.add_parser("run", help="run one experiment or 'all'")
-    p_run.add_argument("experiment", choices=EXPERIMENTS + ("all",))
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_rep = sub.add_parser("report", help="summarize written reports")
-    common(p_rep)
-    p_rep.set_defaults(func=cmd_report)
+    command("corpus", cmd_corpus, "write the committed corpus", "--out --seed")
+    command("calibrate", cmd_calibrate, "freeze inequality budgets",
+            "--seed --threads --budget --m-max --force", margin=None)
+    command("run", cmd_run, "run one experiment or 'all'",
+            "--out --seed --threads --budget --m-max").add_argument(
+        "experiment", choices=EXPERIMENTS + ("all",))
+    command("report", cmd_report, "summarize written reports", "--out")
 
     try:
         args = parser.parse_args(argv)
@@ -365,12 +354,9 @@ def main(argv=None) -> int:
         except (AgfError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.budget is None:
-        args.budget = _cfg_scalar(cfg, "budget") or os.path.join("calibration", "budgets.json")
     try:
-        if args.seed is None:
-            args.seed = _number(int, _cfg_scalar(cfg, "seed", _DEFAULT_SEED), "config key seed")
-        return args.func(args, cfg)
+        _resolve_settings(args, cfg)
+        return args.func(args)
     except AgfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,13 +35,11 @@ from .rearrange import iterated_rearrangement, strict_order
 
 @dataclass(frozen=True)
 class CellSet:
-    """Finite set of grid cells, optionally with one fractional boundary cell."""
+    """Finite set of whole grid cells."""
 
     indices: np.ndarray            # (m, n) int, sorted lexicographically
     shape: tuple[int, ...]
     cell_sizes: tuple[float, ...]
-    frac_index: tuple[int, ...] | None = None
-    frac_weight: float = 0.0
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64).reshape(-1, len(self.shape))
@@ -50,8 +48,6 @@ class CellSet:
         object.__setattr__(self, "indices", idx)
         if idx.shape[0] > 1 and np.any(np.all(np.diff(idx, axis=0) == 0, axis=1)):
             raise ParameterError("duplicate cells in CellSet")
-        if self.frac_index is not None and not 0.0 < self.frac_weight < 1.0:
-            raise ParameterError("fractional weight must lie in (0, 1)")
         idx.flags.writeable = False
 
     @property
@@ -71,8 +67,7 @@ class CellSet:
 
     @property
     def measure(self) -> float:
-        extra = self.frac_weight if self.frac_index is not None else 0.0
-        return (self.count + extra) * self.cell_volume
+        return self.count * self.cell_volume
 
     def column_keys(self, j: int) -> np.ndarray:
         """Cell indices with axis j removed: the projection columns."""
@@ -118,11 +113,7 @@ def _column_codes(E: CellSet, j: int) -> np.ndarray:
 
 
 def projection_profile(E: CellSet, j: int) -> ProjectionProfile:
-    """Exact column counting for the orthogonal projection along axis j.
-
-    A fractional boundary cell contributes its fraction to the section measure
-    but a full unit to the projection (conservative upper bound).
-    """
+    """Exact column counting for the orthogonal projection along axis j."""
     if not 0 <= j < E.dims:
         raise ParameterError(f"axis {j} out of range for dims={E.dims}")
     if E.count == 0:
@@ -146,8 +137,6 @@ class LoomisWhitneyReport:
 
 def loomis_whitney_check(E: CellSet) -> LoomisWhitneyReport:
     """Exact integer Loomis-Whitney: (cell count)^(n-1) <= product of projections."""
-    if E.frac_index is not None:
-        raise PreconditionError("Loomis-Whitney check requires an integer cell set")
     n = E.dims
     lhs = E.count ** (n - 1)
     rhs = 1
@@ -177,8 +166,6 @@ class ChainStep:
     axis: int
     selected_columns: int
     achieved_cells: int
-    target_cells: float
-    projection_count: int
 
 
 def minimal_projection_chain(E: CellSet, axes=None) -> tuple[list[CellSet], list[ChainStep]]:
@@ -198,21 +185,20 @@ def minimal_projection_chain(E: CellSet, axes=None) -> tuple[list[CellSet], list
     for j in axes:
         if cur.count == 0:
             chain.append(cur)
-            steps.append(ChainStep(j, 0, 0, 0.0, 0))
+            steps.append(ChainStep(j, 0, 0))
             continue
         codes = _column_codes(cur, j)
         cols, section_counts = np.unique(codes, return_counts=True)
         # sort columns: section count descending, lexicographic key (code) ascending
         order = np.lexsort((cols, -section_counts))
         counts = section_counts[order]
-        target = cur.count / 2.0
         cum = np.cumsum(counts)
-        nsel = int(np.searchsorted(cum, target, side="left")) + 1
+        nsel = int(np.searchsorted(cum, cur.count / 2.0, side="left")) + 1
         nsel = min(nsel, counts.size)
         mask = np.isin(codes, cols[order[:nsel]])
         nxt = CellSet(cur.indices[mask], cur.shape, cur.cell_sizes)
         chain.append(nxt)
-        steps.append(ChainStep(j, nsel, nxt.count, target, nsel))
+        steps.append(ChainStep(j, nsel, nxt.count))
         cur = nxt
     return chain, steps
 

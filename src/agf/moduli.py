@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, PreconditionError
-from .grid import GridFunction
+from .grid import GridFunction, _check_p
 from .rearrange import is_mdec
 
 _BLOCK = 1 << 15  # float64 elements in one array temporary of the pair sums
@@ -266,8 +266,7 @@ def modulus_curve(f: GridFunction, k: int, p: float) -> ModulusCurve:
     ``shift_integral``) and the axis seminorms (``besov_seminorm``,
     ``lipschitz_seminorm``) from one computation.
     """
-    if not p >= 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    _check_p(p)
     prof = _shift_power_profile(f, k, p)
     c = f.cell_sizes[k]
     d, w = _running_max_curve(prof, c)
@@ -297,8 +296,7 @@ def interval_curve_1d(f: GridFunction, p: float) -> ModulusCurve:
     """
     if f.dims != 1:
         raise PreconditionError("interval modulus is defined for 1-D functions")
-    if not p >= 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    _check_p(p)
     row = f.values.reshape(1, -1)
     n = row.shape[1]
     c = f.cell_sizes[0]

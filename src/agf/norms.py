@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, ResourceError
-from .grid import GridFunction
+from .grid import GridFunction, _check_p
 from .moduli import ModulusCurve, _pair_power_sums
 from .rearrange import is_mdec
 from .step import StepFunction
@@ -99,54 +99,39 @@ def mixed_lorentz_norm(g: GridFunction, p: float, r: float) -> float:
 
 # --- Besov / Lipschitz --------------------------------------------------------
 
-def _curve_weighted_sup(curve: ModulusCurve, alpha: float):
+def _curve_weighted_sup(curve: ModulusCurve, alpha: float) -> float:
     """sup_t t^-alpha omega(t) over the exact curve.
 
-    Returns (value, attained_delta, at_finest_scale).  The sub-cell piece has
-    omega^p = b t exactly, so the sup below the first node is closed form; it
-    diverges when alpha > 1/p (reported as inf at scale 0).
+    The sub-cell piece has omega^p = b t exactly, so the sup below the first
+    node is closed form; it diverges when alpha > 1/p (reported as inf).
     """
     p = curve.p
     d, w = curve.deltas, curve.omega_p
     if w[-1] == 0.0:
-        return 0.0, 0.0, False
-    best, best_d = -math.inf, 0.0
+        return 0.0
+    best = -math.inf
     # first segment: omega^p = b t on (0, d1]
     if d.size > 1 and w[1] > 0:
-        b = w[1] / d[1]
         e = 1.0 / p - alpha
         if e < 0:
-            return math.inf, 0.0, True
+            return math.inf
         if e == 0:
-            val = b ** (1.0 / p)
-            if val > best:
-                best, best_d = val, d[1]
+            best = (w[1] / d[1]) ** (1.0 / p)
     # node candidates (per-segment maxima of t^{-alpha p}(a+bt) sit at endpoints)
     pos = d > 0
     cand = w[pos] ** (1.0 / p) * d[pos] ** (-alpha)
     i = int(np.argmax(cand))
-    if cand[i] > best:
-        best, best_d = float(cand[i]), float(d[pos][i])
-    at_scale = best_d <= d[1] if d.size > 1 else True
-    return best, best_d, at_scale
+    return float(cand[i]) if cand[i] > best else best
 
 
-@dataclass(frozen=True)
-class LipschitzValue:
-    value: float
-    attained_delta: float
-    at_finest_scale: bool
-
-
-def lipschitz_seminorm(curve: ModulusCurve, alpha: float) -> LipschitzValue:
-    """sup over delta of omega_k(f; delta)_p / delta^alpha, with attained scale.
+def lipschitz_seminorm(curve: ModulusCurve, alpha: float) -> float:
+    """sup over delta of omega_k(f; delta)_p / delta^alpha.
 
     ``curve`` is ``modulus_curve(f, k, p)``, which carries k and p.
     """
     if not 0 < alpha <= 1:
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
-    val, at, flag = _curve_weighted_sup(curve, alpha)
-    return LipschitzValue(val, at, flag)
+    return _curve_weighted_sup(curve, alpha)
 
 
 def besov_panels(curve: ModulusCurve):
@@ -206,7 +191,7 @@ def besov_seminorm(curve: ModulusCurve, alpha: float, theta: float) -> float:
     if not theta >= 1.0:
         raise ParameterError(f"theta must be >= 1, got {theta}")
     if math.isinf(theta):
-        return _curve_weighted_sup(curve, alpha)[0]
+        return _curve_weighted_sup(curve, alpha)
     tp = theta / curve.p
     at = alpha * theta
     segments, sub, flat, smooth = curve.besov_panels
@@ -263,8 +248,7 @@ def gagliardo_sums(f: GridFunction, p: float) -> GagliardoSums:
     This is the O(N^2) part, which no alpha enters: one build serves
     ``gagliardo_seminorm`` at every alpha.  Guarded at 10^4 cells.
     """
-    if not p >= 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    _check_p(p)
     ncells = f.values.size
     if ncells > _SIZE_GUARD:
         # the degenerate bbm rows quote this message, so it names the seminorm

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ParameterError, PreconditionError, ResourceError
 from .geometry import (AnisotropicGauge, BoxPanels, _axis_panels, _box_along, _box_gram,
                        _box_vector, box_average_field, build_gauge, contract_axes)
-from .grid import GridFunction, make_grid_function
+from .grid import GridFunction, _check_p, make_grid_function
 from .moduli import _BLOCK, ModulusCurve, interval_curve_1d, modulus_curve, steklov_distances
 from .norms import (
     BesovParams,
@@ -142,12 +142,6 @@ def _degenerate(inequality_id, function_id, n, params, note="zero input"):
                    degenerate=True)
 
 
-def _check_p(p: float) -> None:
-    """Reject a p that is not >= 1, NaN included, as ``modulus_curve`` does."""
-    if not p >= 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
-
-
 def _check_shifts(values, name: str) -> None:
     """Reject any shift or scale that is not positive."""
     for v in values:
@@ -251,8 +245,7 @@ class DecrementSums(NamedTuple):
     inner[k] (left[k]^(-e) - right[k]^(-e)) / e of the left side whenever the
     cut delta^n lies at or below left[k] (0 for step 0, whose inner is 0).
     For K steps and an integer p, building them costs O(pK) array work by the
-    drop recurrence; any other p costs O(K^2) element work, in row blocks of
-    at most ``_SUMS_BLOCK`` elements (one row of K + 2 when K is larger).
+    drop recurrence; any other p costs O(K^2) element work, one step at a time.
     """
 
     left: np.ndarray
@@ -262,20 +255,14 @@ class DecrementSums(NamedTuple):
     steps: np.ndarray
 
 
-_SUMS_BLOCK = 1 << 15  # float64 elements in one row block of the inner sums at non-integer p
-
-
 def decrement_sums(sf: StepFunction, p: float, n: int) -> DecrementSums:
     """The ``DecrementSums`` at exponent p of f* = ``sf`` of an n-dimensional f.
 
     ``sf`` must be nonincreasing.  At an integer p, ``inner`` follows the
     drop recurrence (``_drop_recurrence``), within a few ulps of
     ``np.sum((values[:k] - values[k]) ** p * widths[:k])`` and exactly 0
-    where that sum is 0.  At any other p, ``inner[k]`` is bit-identical to
-    that sum: each row's terms lie behind one zero, and
-    ``np.add.reduceat`` reduces such a run exactly as ``np.sum`` reduces the
-    terms alone.  ``verify_isotropic_estimate`` reads the sums from
-    ``Member.sums(p)``.
+    where that sum is 0.  At any other p, ``inner[k]`` is that sum.
+    ``verify_isotropic_estimate`` reads the sums from ``Member.sums(p)``.
     """
     bp = sf.breakpoints
     vals = sf.values
@@ -285,7 +272,7 @@ def decrement_sums(sf: StepFunction, p: float, n: int) -> DecrementSums:
     if float(p).is_integer():
         inner = _drop_recurrence(vals, left, int(p))
     else:
-        inner = _blocked_inner_sums(vals, widths, p)
+        inner = np.array([np.sum((vals[:k] - vals[k]) ** p * widths[:k]) for k in range(size)])
     e = p / n
     # scalar powers: an array power may differ from them in the last bit
     powers = np.array([b ** -e for b in bp.tolist()])
@@ -316,31 +303,6 @@ def _drop_recurrence(vals: np.ndarray, left: np.ndarray, p: int) -> np.ndarray:
     return inner
 
 
-def _blocked_inner_sums(vals: np.ndarray, widths: np.ndarray, p: float) -> np.ndarray:
-    """``inner`` of ``decrement_sums`` in row blocks of at most ``_SUMS_BLOCK`` elements."""
-    size = vals.size
-    # column c of a block row pairs step c - 1 with the row's step; column 0
-    # pairs a zero value and a zero width, which leads every row's run
-    vals_led = np.concatenate([[0.0], vals])
-    widths_led = np.concatenate([[0.0], widths])
-    inner = np.empty(size)
-    k0 = 0
-    while k0 < size:
-        # rows k0..k0+r-1; row k's run is its columns 0..k, and the last
-        # column is spare, so that the end of the last run is inside the block
-        r = min(size - k0, max(1, (math.isqrt((k0 + 1) ** 2 + 4 * _SUMS_BLOCK) - k0 - 1) // 2))
-        width = k0 + r + 1
-        block = np.subtract(vals_led[:width], vals[k0:k0 + r, None])
-        np.maximum(block, 0.0, out=block)  # f* is nonincreasing: clears column 0 and steps >= k
-        block **= p
-        block *= widths_led[:width]
-        starts = np.arange(r) * width
-        runs = np.stack([starts, starts + 1 + np.arange(k0, k0 + r)], axis=1)
-        inner[k0:k0 + r] = np.add.reduceat(block.ravel(), runs.ravel())[::2]
-        k0 += r
-    return inner
-
-
 def verify_isotropic_estimate(m: Member, p: float, delta: float) -> InequalityReport:
     """Tail integral of the rearrangement decrement against the isotropic modulus.
 
@@ -349,8 +311,7 @@ def verify_isotropic_estimate(m: Member, p: float, delta: float) -> InequalityRe
     RHS = (omega(f; delta)_p / delta)^p with the isotropic modulus taken as the
     max over axes of the partial moduli (recorded in the params).
     """
-    if not math.isfinite(p) or p < 1:
-        raise ParameterError(f"p must be finite and >= 1, got {p}")
+    _check_p(p)
     if not delta > 0:
         raise ParameterError(f"delta must be > 0, got {delta}")
     n = m.f.dims
@@ -417,8 +378,7 @@ def verify_anisotropic_estimate(m: Member, p: float, order, h_values) -> list[In
     The moduli on the right are those of the original f.  The integral form
     adds the terms of Omega in lattice order, with u_j(t)^p a scalar power.
     """
-    if not p >= 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    _check_p(p)
     _check_shifts(h_values, "shift h")
     order = tuple(int(k) for k in order)
     gauge = m.gauge(order)
@@ -539,7 +499,7 @@ def verify_lipschitz_endpoint(m: Member, p: float) -> InequalityReport:
     lhs = lorentz_norm(m.star, lp.q_star, lp.s)
     rhs = 1.0
     for curve in m.curves(p):
-        rhs *= lipschitz_seminorm(curve, 1.0).value ** (lp.alpha / (n * 1.0))
+        rhs *= lipschitz_seminorm(curve, 1.0) ** (lp.alpha / (n * 1.0))
     return _report("lipschitz-endpoint", m.function_id, n, params, lhs, rhs)
 
 
@@ -606,7 +566,7 @@ def verify_limit_relations(m: Member, k: int, p: float, theta: float,
     if not 0 <= k < m.f.dims:
         raise ParameterError(f"axis {k} out of range for dims={m.f.dims}")
     curve = m.curves(p)[k]
-    target = (1.0 / theta) ** (1.0 / theta) * lipschitz_seminorm(curve, 1.0).value
+    target = (1.0 / theta) ** (1.0 / theta) * lipschitz_seminorm(curve, 1.0)
     ms = np.arange(1, m_max + 1, dtype=np.float64)
     vals = np.empty(ms.size)
     for i, mi in enumerate(ms):
@@ -636,6 +596,7 @@ def verify_gagliardo_limit(m: Member, p: float, m_max: int) -> LimitTrace:
     of the difference-quotient derivative norm.  On a grid past the size guard
     of the double integral the trace has no points and is marked truncated.
     """
+    _check_p(p)
     f, function_id = m.f, m.function_id
     if f.dims != 1:
         raise PreconditionError("the Gagliardo limit target is implemented for n = 1")

@@ -188,12 +188,6 @@ def test_runs_are_byte_identical_across_threads(tmp_path, budget_file):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_threads_env_fallback(tmp_path, budget_file, monkeypatch):
-    monkeypatch.setenv("AGF_THREADS", "2")
-    out = tmp_path / "out"
-    assert main(["run", "modulus-lemmas", "--out", str(out)]) == 0
-
-
 def test_report_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["report", "--out", str(out)]) == 2  # nothing written yet
@@ -295,13 +289,11 @@ def test_config_supplies_defaults(tmp_path, budget_file):
 
 
 @pytest.mark.parametrize("setting", [
-    ("env", "AGF_THREADS", "abc"),
     ("cfg", "threads", "two"),
     ("cfg", "seed", "1.5"),
     ("cfg", "m-max", "eight"),
     ("cfg", "margin", "wide"),
     # counts below 1 and margins that are not finite and > 0
-    pytest.param(("env", "AGF_THREADS", "0"), id="AGF_THREADS-0"),
     pytest.param(("cfg", "threads", "-3"), id="threads-neg"),
     pytest.param(("flag", "--threads", "0"), id="--threads-0"),
     pytest.param(("flag", "--threads", "-3"), id="--threads-neg"),
@@ -312,12 +304,10 @@ def test_config_supplies_defaults(tmp_path, budget_file):
     pytest.param(("cfg", "margin", "inf"), id="margin-inf"),
     pytest.param(("cfg", "margin", "0"), id="margin-0"),
 ], ids=lambda s: s[1])
-def test_malformed_number_setting_exits_2(tmp_path, monkeypatch, capsys, setting):
+def test_malformed_number_setting_exits_2(tmp_path, capsys, setting):
     where, key, value = setting
     argv, flags = [], []
-    if where == "env":
-        monkeypatch.setenv(key, value)
-    elif where == "flag":
+    if where == "flag":
         flags = [key, value]
     else:
         cfg = tmp_path / "cfg"
@@ -363,20 +353,77 @@ def test_calibration_margin_must_be_finite_and_positive(margin):
         calibrate_from_reports([], "hash", margin)
 
 
-def _readme_flags():
-    """Every --flag of README's "Flags:" paragraph."""
+_FLAG = r"--[a-z][a-z-]*"
+
+# the flags each subcommand reads, and only those
+_OWN_FLAGS = {"corpus": {"--out", "--seed"},
+              "calibrate": {"--seed", "--threads", "--budget", "--m-max", "--force"},
+              "run": {"--out", "--seed", "--threads", "--budget", "--m-max"},
+              "report": {"--out"}}
+
+
+def _help_flags(capsys, argv) -> set[str]:
+    """The flags that ``argv + ["--help"]`` lists, but --help."""
+    assert main(argv + ["--help"]) == 0
+    return set(re.findall(_FLAG, capsys.readouterr().out)) - {"--help"}
+
+
+def _readme_flags() -> dict:
+    """The --flags of README's "Flags:" paragraph: the global ones under None,
+    and those of each "- `agf <subcommand>`" item under its name."""
     with open(_README) as fh:
         text = fh.read()
     paragraph = text[text.index("Flags:"):].split("\n\n", 1)[0]
-    return set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    head, *items = paragraph.split("\n- `agf ")
+    flags = {None: set(re.findall(_FLAG, head))}
+    for item in items:
+        name, _, rest = item.partition("`")
+        flags[name] = set(re.findall(_FLAG, rest))
+    return flags
 
 
 def test_readme_flags_match_the_run_parser(capsys):
-    # the flags of `agf run` are its own and the global ones before the subcommand
-    for argv in (["--help"], ["run", "--help"]):
-        assert main(argv) == 0
-    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
-    assert _readme_flags() == flags
+    # the global flags before the subcommand, then each subcommand's own
+    readme = _readme_flags()
+    assert list(readme) == [None, "corpus", "calibrate", "run", "report"]
+    for name, flags in readme.items():
+        assert _help_flags(capsys, [] if name is None else [name]) == flags, name
+
+
+@pytest.mark.parametrize("command", list(_OWN_FLAGS))
+def test_each_subcommand_lists_exactly_its_own_flags(capsys, command):
+    assert _help_flags(capsys, [command]) == _OWN_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--threads", "2"], ["corpus", "--budget", "b.json"], ["corpus", "--m-max", "3"],
+    ["calibrate", "--out", "x"],
+    ["report", "--seed", "1"], ["report", "--threads", "2"], ["report", "--budget", "b.json"],
+    ["report", "--m-max", "3"],
+])
+def test_a_flag_the_subcommand_does_not_read_exits_2_before_any_work(tmp_path, monkeypatch,
+                                                                      capsys, argv):
+    monkeypatch.setattr(agf.cli, "default_corpus", _no_work)
+    monkeypatch.setattr(agf.cli, "run_experiment", _no_work)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, config", [
+    ("report", "seed = 1.5\nthreads = two\nm-max = 0\nmargin = wide\nbudget = \n"),
+    ("corpus", "threads = two\nm-max = 0\nmargin = wide\n"),
+])
+def test_a_setting_the_subcommand_does_not_read_is_not_resolved(tmp_path, capsys, command,
+                                                                 config):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    if command == "report":
+        _write_reports(out)
+    assert main(["--config", str(cfg), command, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_library_entry_points_import():

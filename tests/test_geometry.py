@@ -38,8 +38,6 @@ def test_cellset_sorting_and_duplicates():
     assert E.measure == pytest.approx(3.0)
     with pytest.raises(ParameterError):
         CellSet(np.array([[0, 0], [0, 0]]), (2, 2), (1.0, 1.0))
-    with pytest.raises(ParameterError):
-        CellSet(np.array([[0, 0]]), (2, 2), (1.0, 1.0), frac_index=(0, 1), frac_weight=1.5)
 
 
 def test_projection_profile_counts():
@@ -64,12 +62,6 @@ def test_loomis_whitney_random_masks():
         report = loomis_whitney_check(_mask_cellset(mask, [1.0] * ndim))
         assert report.passed
         assert report.lhs_cells <= report.rhs_cells
-
-
-def test_loomis_whitney_rejects_fractional():
-    E = CellSet(np.array([[0, 0]]), (2, 2), (1.0, 1.0), frac_index=(1, 1), frac_weight=0.5)
-    with pytest.raises(PreconditionError):
-        loomis_whitney_check(E)
 
 
 def _min_columns_to_half(counts):
@@ -126,7 +118,7 @@ def _set_based_chain(E):
     for j in range(E.dims):
         if cur.count == 0:
             chain.append(cur)
-            steps.append(ChainStep(j, 0, 0, 0.0, 0))
+            steps.append(ChainStep(j, 0, 0))
             continue
         keys = np.delete(cur.indices, j, axis=1)
         cols, counts = np.unique(keys, axis=0, return_counts=True)
@@ -137,7 +129,7 @@ def _set_based_chain(E):
         mask = np.array([tuple(row) in selected for row in keys.tolist()], dtype=bool)
         nxt = CellSet(cur.indices[mask], cur.shape, cur.cell_sizes)
         chain.append(nxt)
-        steps.append(ChainStep(j, nsel, nxt.count, cur.count / 2.0, nsel))
+        steps.append(ChainStep(j, nsel, nxt.count))
         cur = nxt
     return chain, steps, [np.unique(np.delete(E.indices, j, axis=1), axis=0, return_counts=True)
                           for j in range(E.dims)]
@@ -231,9 +223,9 @@ def _chain_gauge(f, order, t_values=None):
         cellsets.append(tuple(chain))
         shells[m] = [cs.count for cs in chain]
         for j, step in enumerate(steps):
-            pm = step.projection_count * v / g.cell_sizes[j]
+            pm = step.selected_columns * v / g.cell_sizes[j]
             mu[m, j] = scale * pm
-            projs[m, j] = step.projection_count
+            projs[m, j] = step.selected_columns
         uu[m] = t / mu[m]
     return AnisotropicGauge(order, t_values, mu, uu, shells, projs, v), tuple(cellsets)
 

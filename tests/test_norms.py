@@ -125,7 +125,7 @@ def test_besov_theta_inf_is_lipschitz_sup():
     f = make_grid_function([2.0, 1.0, 0.5], 0.5)
     curve = modulus_curve(f, 0, 1.0)
     got = besov_seminorm(curve, 0.4, math.inf)
-    want = lipschitz_seminorm(curve, 0.4).value
+    want = lipschitz_seminorm(curve, 0.4)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -514,7 +514,7 @@ def test_besov_matches_per_segment_loop():
                         else:
                             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
                     assert besov_seminorm(curve, alpha, math.inf) == (
-                        lipschitz_seminorm(curve, alpha).value)
+                        lipschitz_seminorm(curve, alpha))
     assert kinds == {"flat", "smooth"}
 
 
@@ -636,7 +636,7 @@ def test_besov_and_derive_params_reject_a_nan_theta():
     curve = modulus_curve(make_grid_function([2.0, 1.0, 0.5], 0.5), 0, 1.0)
     with pytest.raises(ParameterError):
         besov_seminorm(curve, 0.5, math.nan)
-    assert besov_seminorm(curve, 0.5, math.inf) == lipschitz_seminorm(curve, 0.5).value
+    assert besov_seminorm(curve, 0.5, math.inf) == lipschitz_seminorm(curve, 0.5)
     with pytest.raises(ParameterError):
         derive_params(1.0, (0.5,), (math.nan,), 1)
     assert math.isinf(derive_params(1.0, (0.5,), (math.inf,), 1).theta)

@@ -314,6 +314,38 @@ def test_zero_members_reject_a_bad_p_like_nonzero_members(shape, cells, p):
     assert reps and all(r.degenerate for r in reps)
 
 
+# every public entry point that takes an exponent p, called at that p
+_P_ENTRY_POINTS = {
+    "lp_norm": lambda m, p: agf.lp_norm(m.f, p),
+    "modulus_curve": lambda m, p: modulus_curve(m.f, 0, p),
+    "partial_modulus": lambda m, p: agf.partial_modulus(m.f, 0, 0.25, p),
+    "interval_curve_1d": lambda m, p: agf.moduli.interval_curve_1d(m.f, p),
+    "gagliardo_sums": lambda m, p: gagliardo_sums(m.f, p),
+    "verify_isotropic_estimate": lambda m, p: verify_isotropic_estimate(m, p, 0.25),
+    "verify_anisotropic_estimate": lambda m, p: verify_anisotropic_estimate(m, p, (0, 1), [0.25]),
+    "verify_lipschitz_endpoint": lambda m, p: verify_lipschitz_endpoint(m, p),
+    "verify_limit_relations": lambda m, p: verify_limit_relations(m, 0, p, 1.0, 2),
+    "verify_gagliardo_limit": lambda m, p: verify_gagliardo_limit(m, p, 2),
+    "verify_fractional_sobolev": lambda m, p: verify_fractional_sobolev(m, p, 0.5),
+    "verify_rearrangement_modulus": lambda m, p: verify_rearrangement_modulus(m, p, [0.25]),
+    "verify_modulus_lemmas": lambda m, p: verify_modulus_lemmas(m, p, [0.25]),
+    "axis_decrement_integral": lambda m, p: axis_decrement_integral(m.f, 0, 2.0, 0.25, p),
+    "verify_axis_decrement": lambda m, p: verify_axis_decrement(m, p, [2.0], [0.25]),
+}
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(_P_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_p_that_is_not_finite_and_at_least_1(name, p):
+    if name in ("interval_curve_1d", "verify_gagliardo_limit"):  # 1-D only
+        m = Member(make_grid_function([2.0, 1.0, 0.5, 0.0], 0.25))
+    else:
+        m = Member(make_grid_function([[2.0, 1.0], [1.0, 0.5]], (0.25, 0.25)))
+    with pytest.raises(ParameterError, match="p must be >= 1"):
+        _P_ENTRY_POINTS[name](m, p)
+    _P_ENTRY_POINTS[name](m, 1.0)
+
+
 _P_VERIFIERS = {
     "verify_axis_decrement": lambda m, p: verify_axis_decrement(m, p, [2.0], [0.25]),
     "verify_fractional_sobolev": lambda m, p: verify_fractional_sobolev(m, p, 0.5),
@@ -869,16 +901,6 @@ def test_decrement_sums_inner_with_ties_in_f_star():
         sums = agf.verify.decrement_sums(sf, p, 2)
         assert sums.inner.tolist() == _inner_per_step(sf, p)
         assert sums.inner[1] == 0.0 and sums.steps[1] == 0.0
-
-
-@pytest.mark.parametrize("block", [7, 300])
-def test_decrement_sums_keep_the_bits_in_any_block_size(block, monkeypatch):
-    # block 7 leaves one row per block, each wider than the block
-    f = _SUMS_MEMBERS["random-general-34-0"]
-    sf = decreasing_rearrangement(f)
-    monkeypatch.setattr(agf.verify, "_SUMS_BLOCK", block)
-    for p in (1.5, 2.5):  # the blocks serve the non-integer p only
-        assert agf.verify.decrement_sums(sf, p, f.dims).inner.tolist() == _inner_per_step(sf, p)
 
 
 def _cut_deltas(f):
